@@ -312,8 +312,10 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
   std::vector<std::unique_ptr<std::vector<pcfg::Segment>>> parsed_patterns;
   std::vector<Task> leaves;
   std::vector<std::string> forced;  // fully-determined outputs
-  // Pending division tasks grouped by prefix length so divisions batch into
-  // lockstep InferenceSession calls (optimisation 3).
+  // Pending division tasks keyed by prefix length: the map fixes the
+  // division order (shortest prefixes first, each group taken from the back
+  // of its bucket), and with it the leaf list and the output bytes. Each
+  // group is one ragged seating call (optimisation 3).
   std::map<std::size_t, std::vector<Task>> pending;
 
   auto route = [&](Task t) {
@@ -438,7 +440,7 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
     route(std::move(t));
   }
 
-  // Recursive division (Alg. 1 lines 10-22), batched by prefix length.
+  // Recursive division (Alg. 1 lines 10-22), in batched groups.
   // With the KV cache on, a divided task's post-prefix state is snapshotted
   // into a per-run prefix trie; its children (division or leaf) later
   // resume from it instead of re-priming from <BOS>. Values are bitwise
@@ -449,9 +451,6 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
     cache = std::make_unique<gpt::KvTrieCache>(cfg.kv_cache_bytes);
   gpt::InferenceSession session(model, cfg.sample.precision);
   const auto& class_sets = ClassTokenSets::instance();
-  std::vector<int> feed;
-  std::vector<float> task_logits;  ///< [group_size, vocab] scratch
-  const gpt::Index vocab = model.config().vocab;
   while (!pending.empty()) {
     obs::Span division_span("dcgen/division_batch", "dcgen");
     auto bucket_it = pending.begin();
@@ -463,74 +462,36 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
     bucket.resize(bucket.size() - take);
     if (bucket.empty()) pending.erase(bucket_it);
 
-    const std::size_t len = group.front().prefix.size();
-
-    // Phase 1: compute each task's last-prefix-token logits. Sub-batches
-    // group tasks whose deepest cached ancestor sits at the same depth so
-    // every sub-batch stays a lockstep session; with the cache off there
-    // is exactly one sub-batch at depth 0 (the original full prime).
-    task_logits.assign(group.size() * static_cast<std::size_t>(vocab), 0.f);
-    const auto run_subbatch = [&](const std::vector<std::size_t>& idxs,
-                                  std::span<const gpt::KvState* const> states,
-                                  std::size_t depth) {
-      if (depth > 0)
-        session.resume_rows(states, static_cast<gpt::Index>(depth));
-      else
-        session.reset(static_cast<gpt::Index>(idxs.size()));
-      feed.resize(idxs.size());
-      for (std::size_t p = depth; p < len; ++p) {
-        for (std::size_t j = 0; j < idxs.size(); ++j)
-          feed[j] = group[idxs[j]].prefix[p];
-        session.step(feed);
-      }
-      ++local.model_calls;
-      const std::size_t primed = (len - depth) * idxs.size();
-      local.prefill_tokens += primed;
-      local.prefill_saved += depth * idxs.size();
-      gpt::kv_cache_metrics().prefill_tokens.inc(primed);
-      for (std::size_t j = 0; j < idxs.size(); ++j) {
-        const auto row = session.logits_row(static_cast<gpt::Index>(j));
-        std::copy(row.begin(), row.end(),
-                  task_logits.begin() +
-                      static_cast<std::ptrdiff_t>(idxs[j]) * vocab);
-        if (cache)
-          cache->insert(group[idxs[j]].prefix,
-                        session.snapshot(static_cast<gpt::Index>(j)));
-      }
-    };
-    if (!cache) {
-      std::vector<std::size_t> all(group.size());
-      for (std::size_t i = 0; i < group.size(); ++i) all[i] = i;
-      run_subbatch(all, {}, 0);
-    } else {
-      std::vector<gpt::KvTrieCache::Handle> handles(group.size());
-      std::map<std::size_t, std::vector<std::size_t>> by_depth;
-      for (std::size_t i = 0; i < group.size(); ++i) {
-        handles[i] = cache->find_longest(group[i].prefix);
-        by_depth[static_cast<std::size_t>(handles[i].len())].push_back(i);
-      }
-      for (const auto& [depth, idxs] : by_depth) {
-        std::vector<const gpt::KvState*> states;
-        if (depth > 0) {
-          states.reserve(idxs.size());
-          for (const std::size_t i : idxs)
-            states.push_back(handles[i].state());
-        }
-        run_subbatch(idxs, states, depth);
-      }
+    // Phase 1: one seating call computes every task's last-prefix-token
+    // logits, each row resuming from its task's deepest cached ancestor
+    // (with the cache off, every row steps its whole prefix).
+    std::vector<gpt::KvTrieCache::Handle> handles(cache ? group.size() : 0);
+    std::vector<const gpt::KvState*> states(handles.size());
+    std::vector<std::span<const int>> prefixes;
+    prefixes.reserve(group.size());
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      prefixes.emplace_back(group[i].prefix);
+      if (!cache) continue;
+      handles[i] = cache->find_longest(group[i].prefix);
+      states[i] = handles[i].state();
     }
+    const auto prefill = session.seat(prefixes, states);
+    ++local.model_calls;
+    local.prefill_tokens += prefill.computed;
+    local.prefill_saved += prefill.restored;
+    if (cache)
+      for (std::size_t i = 0; i < group.size(); ++i)
+        cache->insert(group[i].prefix,
+                      session.snapshot(static_cast<gpt::Index>(i)));
 
-    // Phase 2: route children in the group's original order — identical to
-    // the uncached path, so the leaf list (and thus the output order) never
-    // depends on how phase 1 was sub-batched.
+    // Phase 2: route children in the group's original order, so the leaf
+    // list (and thus the output order) never depends on the cache.
     for (std::size_t i = 0; i < group.size(); ++i) {
       Task& t = group[i];
       ++local.divisions;
       const auto cls = pcfg::class_at(*t.pattern, t.chars_done);
       const auto& allowed = class_sets.of(*cls);
-      const std::span<const float> logits(
-          task_logits.data() + static_cast<std::ptrdiff_t>(i) * vocab,
-          static_cast<std::size_t>(vocab));
+      const auto logits = session.logits_row(static_cast<gpt::Index>(i));
       // Softmax restricted to the candidate tokens (paper: c = 52/10/32).
       float mx = -1e30f;
       for (std::size_t v = 0; v < logits.size(); ++v)

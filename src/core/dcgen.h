@@ -15,8 +15,10 @@
 //  1. T sized to the generation batch the backend executes in parallel;
 //  2. per-task counts capped by the remaining pattern capacity
 //     (52^letters · 10^digits · 32^specials of the unfilled suffix);
-//  3. divisions are batched across tasks of equal prefix length, and
-//     prefixes stay in token form end-to-end (no re-encoding).
+//  3. divisions are batched: each group of up to division_batch pending
+//     tasks is one ragged InferenceSession::seat call, every row resuming
+//     from its own cached ancestor at its own depth, and prefixes stay in
+//     token form end-to-end (no re-encoding).
 #pragma once
 
 #include <cstdint>
@@ -75,7 +77,7 @@ struct DcGenConfig {
   double min_task = 1.0;
   /// Only divide the top-K patterns (0 = all patterns).
   std::size_t max_patterns = 0;
-  /// Maximum number of same-length tasks divided per batched model call.
+  /// Maximum number of tasks divided per batched model call.
   std::size_t division_batch = 64;
   /// Enforce pattern conformance at leaves (required for the cross-task
   /// no-duplicate invariant; off reproduces unconstrained drift).

@@ -44,17 +44,17 @@ InferenceSession::InferenceSession(const GptModel& model, Precision precision)
   if (precision_ == Precision::kInt8) qweights_ = &model.quantized();
 }
 
-void InferenceSession::project(Index n, Index k, const float* x,
+void InferenceSession::project(Index m, Index n, Index k, const float* x,
                                const nn::Linear& lin,
                                const nn::quant::QuantizedMatrix* qm,
                                float* y) {
   if (qm == nullptr) {
-    nn::kernels::affine(batch_, n, k, x, lin.weight().data().data(),
+    nn::kernels::affine(m, n, k, x, lin.weight().data().data(),
                         lin.bias().data().data(), y);
     return;
   }
-  nn::kernels::quantize_rows(batch_, k, qm->k_pad, x, qx_.data(), qs_.data());
-  nn::kernels::qaffine(batch_, n, qm->k_pad, qx_.data(), qs_.data(),
+  nn::kernels::quantize_rows(m, k, qm->k_pad, x, qx_.data(), qs_.data());
+  nn::kernels::qaffine(m, n, qm->k_pad, qx_.data(), qs_.data(),
                        qm->data.data(), qm->scales.data(),
                        lin.bias().data().data(), y);
 }
@@ -64,12 +64,12 @@ void InferenceSession::reset(Index batch) {
     throw std::invalid_argument("InferenceSession::reset: batch must be > 0");
   const Config& c = model_->config();
   batch_ = batch;
-  pos_ = 0;
-  logits_ready_ = false;
+  pos_.assign(static_cast<std::size_t>(batch), 0);
   // Every buffer is indexed with a per-row stride, so a batch that fits the
-  // existing allocation reuses it as-is: rows < batch_ are fully rewritten
-  // before being read (the KV caches only ever read positions <= pos_, all
-  // written since this reset), and stale rows >= batch_ are never touched.
+  // existing allocation reuses it as-is: a row's KV cache is only read at
+  // positions below its own position, all written since this reset, and
+  // its logits row only once it has stepped; stale rows >= batch_ are
+  // never touched.
   if (batch > capacity_) {
     const std::size_t cache =
         static_cast<std::size_t>(batch * c.context * c.d_model);
@@ -81,6 +81,7 @@ void InferenceSession::reset(Index batch) {
     att_.assign(batch * c.d_model, 0.f);
     ff_.assign(batch * c.d_ff(), 0.f);
     logits_.assign(batch * c.vocab, 0.f);
+    live_logits_.assign(batch * c.vocab, 0.f);
     if (precision_ == Precision::kInt8) {
       // Widest activation the projections quantize is the d_ff-wide gelu
       // output feeding fc2; k is zero-padded per quant.h.
@@ -88,6 +89,7 @@ void InferenceSession::reset(Index batch) {
           static_cast<std::size_t>(batch * nn::quant::padded_k(c.d_ff())), 0);
       qs_.assign(static_cast<std::size_t>(batch), 0.f);
     }
+    scores_.resize(static_cast<std::size_t>(c.context));
     capacity_ = batch;
   }
 
@@ -95,7 +97,7 @@ void InferenceSession::reset(Index batch) {
   m.batch.set(static_cast<double>(batch));
   const double scratch = static_cast<double>(
       x_.size() + h_.size() + qkv_.size() + att_.size() + ff_.size() +
-      logits_.size());
+      logits_.size() + live_logits_.size());
   m.cache_bytes.set((2.0 * double(c.n_layers) *
                          double(capacity_ * c.context * c.d_model) +
                      scratch) *
@@ -103,35 +105,45 @@ void InferenceSession::reset(Index batch) {
 }
 
 std::span<const float> InferenceSession::step(std::span<const int> tokens) {
-  InferMetrics& m = InferMetrics::get();
-  m.steps.inc();
-  m.tokens.inc(static_cast<std::uint64_t>(tokens.size()));
-  obs::ScopedLatency latency(m.step_us);
-  obs::Span span("infer/step", "gpt");
   const Config& c = model_->config();
   if (batch_ == 0)
     throw std::logic_error("InferenceSession::step before reset()");
   if (static_cast<Index>(tokens.size()) != batch_)
     throw std::invalid_argument("InferenceSession::step: token count != batch");
-  if (pos_ >= c.context)
-    throw std::runtime_error("InferenceSession::step: context exhausted");
+  live_.clear();
+  for (Index i = 0; i < batch_; ++i) {
+    const int tok = tokens[i];
+    if (tok == kIdle) continue;
+    if (tok < 0 || tok >= c.vocab)
+      throw std::invalid_argument("InferenceSession::step: token out of range");
+    if (position(i) >= c.context)
+      throw std::runtime_error("InferenceSession::step: context exhausted");
+    live_.push_back(i);
+  }
+  const std::span<const float> all_logits{
+      logits_.data(), static_cast<std::size_t>(batch_ * c.vocab)};
+  const Index m = static_cast<Index>(live_.size());
+  if (m == 0) return all_logits;
+
+  InferMetrics& metrics = InferMetrics::get();
+  metrics.steps.inc();
+  metrics.tokens.inc(static_cast<std::uint64_t>(m));
+  obs::ScopedLatency latency(metrics.step_us);
+  obs::Span span("infer/step", "gpt");
   const Index d = c.d_model, heads = c.n_heads, dh = d / heads;
   const float scale = 1.f / std::sqrt(static_cast<float>(dh));
 
-  // Embedding: x = wte[token] + wpe[pos].
+  // Embedding: x = wte[token] + wpe[pos], compact over the live rows.
   const float* wte = model_->wte().table().data().data();
-  const float* wpe_row = model_->wpe().table().data().data() + pos_ * d;
-  for (Index i = 0; i < batch_; ++i) {
-    const int tok = tokens[i];
-    if (tok < 0 || tok >= c.vocab)
-      throw std::invalid_argument("InferenceSession::step: token out of range");
-    const float* te = wte + static_cast<Index>(tok) * d;
-    float* xr = x_.data() + i * d;
-    for (Index j = 0; j < d; ++j) xr[j] = te[j] + wpe_row[j];
+  const float* wpe = model_->wpe().table().data().data();
+  for (Index j = 0; j < m; ++j) {
+    const Index r = live_[static_cast<std::size_t>(j)];
+    const float* te = wte + static_cast<Index>(tokens[r]) * d;
+    const float* pe = wpe + position(r) * d;
+    float* xr = x_.data() + j * d;
+    for (Index k = 0; k < d; ++k) xr[k] = te[k] + pe[k];
   }
 
-  if (scores_.size() < static_cast<std::size_t>(pos_ + 1))
-    scores_.resize(static_cast<std::size_t>(c.context));
   float* const scores = scores_.data();
   for (Index l = 0; l < c.n_layers; ++l) {
     const Block& blk = model_->blocks()[static_cast<std::size_t>(l)];
@@ -139,78 +151,92 @@ std::span<const float> InferenceSession::step(std::span<const int> tokens) {
         qweights_ != nullptr ? &qweights_->blocks[static_cast<std::size_t>(l)]
                              : nullptr;
     // Attention: h = ln1(x); qkv = h·Wqkv+b; cache k,v; attend; x += proj.
-    nn::kernels::layernorm_rows(batch_, d, x_.data(),
+    nn::kernels::layernorm_rows(m, d, x_.data(),
                                 blk.ln1.gain().data().data(),
                                 blk.ln1.bias().data().data(), h_.data());
-    project(3 * d, d, h_.data(), blk.qkv, qb != nullptr ? &qb->qkv : nullptr,
-            qkv_.data());
+    project(m, 3 * d, d, h_.data(), blk.qkv,
+            qb != nullptr ? &qb->qkv : nullptr, qkv_.data());
     float* kc = kcache_[static_cast<std::size_t>(l)].data();
     float* vc = vcache_[static_cast<std::size_t>(l)].data();
-    for (Index i = 0; i < batch_; ++i) {
-      const float* krow = qkv_.data() + i * 3 * d + d;
-      const float* vrow = qkv_.data() + i * 3 * d + 2 * d;
-      float* kdst = kc + (i * c.context + pos_) * d;
-      float* vdst = vc + (i * c.context + pos_) * d;
-      for (Index j = 0; j < d; ++j) {
-        kdst[j] = krow[j];
-        vdst[j] = vrow[j];
+    for (Index j = 0; j < m; ++j) {
+      const Index r = live_[static_cast<std::size_t>(j)];
+      const Index pos = position(r);
+      const float* krow = qkv_.data() + j * 3 * d + d;
+      const float* vrow = qkv_.data() + j * 3 * d + 2 * d;
+      float* kdst = kc + (r * c.context + pos) * d;
+      float* vdst = vc + (r * c.context + pos) * d;
+      for (Index k = 0; k < d; ++k) {
+        kdst[k] = krow[k];
+        vdst[k] = vrow[k];
       }
     }
-    for (Index i = 0; i < batch_; ++i) {
-      const float* q = qkv_.data() + i * 3 * d;
-      float* out = att_.data() + i * d;
+    for (Index j = 0; j < m; ++j) {
+      const Index r = live_[static_cast<std::size_t>(j)];
+      const Index pos = position(r);
+      const float* q = qkv_.data() + j * 3 * d;
+      float* out = att_.data() + j * d;
       for (Index hh = 0; hh < heads; ++hh) {
         const float* qh = q + hh * dh;
         float mx = -1e30f;
-        for (Index s = 0; s <= pos_; ++s) {
-          const float* kh = kc + (i * c.context + s) * d + hh * dh;
+        for (Index s = 0; s <= pos; ++s) {
+          const float* kh = kc + (r * c.context + s) * d + hh * dh;
           float acc = 0.f;
-          for (Index j = 0; j < dh; ++j) acc += qh[j] * kh[j];
+          for (Index k = 0; k < dh; ++k) acc += qh[k] * kh[k];
           scores[s] = acc * scale;
           mx = std::max(mx, scores[s]);
         }
         float z = 0.f;
-        for (Index s = 0; s <= pos_; ++s) {
+        for (Index s = 0; s <= pos; ++s) {
           scores[s] = std::exp(scores[s] - mx);
           z += scores[s];
         }
         const float inv = 1.f / z;
         float* oh = out + hh * dh;
-        for (Index j = 0; j < dh; ++j) oh[j] = 0.f;
-        for (Index s = 0; s <= pos_; ++s) {
+        for (Index k = 0; k < dh; ++k) oh[k] = 0.f;
+        for (Index s = 0; s <= pos; ++s) {
           const float p = scores[s] * inv;
-          const float* vh = vc + (i * c.context + s) * d + hh * dh;
-          for (Index j = 0; j < dh; ++j) oh[j] += p * vh[j];
+          const float* vh = vc + (r * c.context + s) * d + hh * dh;
+          for (Index k = 0; k < dh; ++k) oh[k] += p * vh[k];
         }
       }
     }
     // x += proj(att)
-    project(d, d, att_.data(), blk.proj, qb != nullptr ? &qb->proj : nullptr,
-            h_.data());
-    for (Index i = 0; i < batch_ * d; ++i) x_[i] += h_[i];
+    project(m, d, d, att_.data(), blk.proj,
+            qb != nullptr ? &qb->proj : nullptr, h_.data());
+    for (Index i = 0; i < m * d; ++i) x_[i] += h_[i];
     // MLP: x += fc2(gelu(fc1(ln2(x))))
-    nn::kernels::layernorm_rows(batch_, d, x_.data(),
+    nn::kernels::layernorm_rows(m, d, x_.data(),
                                 blk.ln2.gain().data().data(),
                                 blk.ln2.bias().data().data(), h_.data());
-    project(c.d_ff(), d, h_.data(), blk.fc1,
+    project(m, c.d_ff(), d, h_.data(), blk.fc1,
             qb != nullptr ? &qb->fc1 : nullptr, ff_.data());
-    // Only the live batch's rows — ff_ may be capacity-sized (reset reuse).
-    const Index ffn = batch_ * c.d_ff();
+    // Only the live rows — ff_ may be capacity-sized (reset reuse).
+    const Index ffn = m * c.d_ff();
     for (Index idx = 0; idx < ffn; ++idx) ff_[idx] = gelu1(ff_[idx]);
-    project(d, c.d_ff(), ff_.data(), blk.fc2,
+    project(m, d, c.d_ff(), ff_.data(), blk.fc2,
             qb != nullptr ? &qb->fc2 : nullptr, h_.data());
-    for (Index i = 0; i < batch_ * d; ++i) x_[i] += h_[i];
+    for (Index i = 0; i < m * d; ++i) x_[i] += h_[i];
   }
 
-  nn::kernels::layernorm_rows(batch_, d, x_.data(),
+  nn::kernels::layernorm_rows(m, d, x_.data(),
                               model_->ln_f().gain().data().data(),
                               model_->ln_f().bias().data().data(), h_.data());
-  project(c.vocab, d, h_.data(), model_->lm_head(),
+  // Every row live: compact row j is row j, so the head writes logits_ in
+  // place. Otherwise it writes compact rows and they are scattered back,
+  // leaving idle rows' logits as they were.
+  const bool dense = m == batch_;
+  project(m, c.vocab, d, h_.data(), model_->lm_head(),
           qweights_ != nullptr ? &qweights_->lm_head : nullptr,
-          logits_.data());
-  ++pos_;
-  logits_ready_ = true;
-  return {logits_.data(), static_cast<std::size_t>(batch_ * c.vocab)};
+          dense ? logits_.data() : live_logits_.data());
+  for (Index j = 0; j < m; ++j) {
+    const Index r = live_[static_cast<std::size_t>(j)];
+    if (!dense)
+      std::memcpy(logits_.data() + r * c.vocab,
+                  live_logits_.data() + j * c.vocab,
+                  static_cast<std::size_t>(c.vocab) * sizeof(float));
+    ++pos_[static_cast<std::size_t>(r)];
+  }
+  return all_logits;
 }
 
 KvState InferenceSession::snapshot(Index row) const {
@@ -219,11 +245,12 @@ KvState InferenceSession::snapshot(Index row) const {
     throw std::logic_error("InferenceSession::snapshot before reset()");
   if (row < 0 || row >= batch_)
     throw std::invalid_argument("InferenceSession::snapshot: row out of range");
-  if (pos_ == 0)
+  const Index len = position(row);
+  if (len == 0)
     throw std::logic_error("InferenceSession::snapshot before any step()");
   const Index d = c.d_model;
   KvState s;
-  s.len = pos_;
+  s.len = len;
   s.k.resize(static_cast<std::size_t>(c.n_layers));
   s.v.resize(static_cast<std::size_t>(c.n_layers));
   for (Index l = 0; l < c.n_layers; ++l) {
@@ -231,73 +258,86 @@ KvState InferenceSession::snapshot(Index row) const {
         kcache_[static_cast<std::size_t>(l)].data() + row * c.context * d;
     const float* vc =
         vcache_[static_cast<std::size_t>(l)].data() + row * c.context * d;
-    s.k[static_cast<std::size_t>(l)].assign(kc, kc + pos_ * d);
-    s.v[static_cast<std::size_t>(l)].assign(vc, vc + pos_ * d);
+    s.k[static_cast<std::size_t>(l)].assign(kc, kc + len * d);
+    s.v[static_cast<std::size_t>(l)].assign(vc, vc + len * d);
   }
   const auto lr = logits_row(row);
   s.logits.assign(lr.begin(), lr.end());
   return s;
 }
 
-void InferenceSession::resume(const KvState& state, Index batch) {
-  resume(state, batch, state.len);
-}
-
-void InferenceSession::resume(const KvState& state, Index batch, Index depth) {
-  std::vector<const KvState*> states(static_cast<std::size_t>(batch), &state);
-  resume_rows(states, depth);
-}
-
-void InferenceSession::resume_rows(std::span<const KvState* const> states,
-                                   Index depth) {
+InferenceSession::Prefill InferenceSession::seat(
+    std::span<const std::span<const int>> prefixes,
+    std::span<const KvState* const> states) {
   const Config& c = model_->config();
-  if (states.empty())
-    throw std::invalid_argument("InferenceSession::resume_rows: empty batch");
-  if (depth < 0 || depth > c.context)
-    throw std::invalid_argument(
-        "InferenceSession::resume_rows: depth out of range");
-  for (const KvState* s : states) {
-    if (s == nullptr)
-      throw std::invalid_argument("InferenceSession::resume_rows: null state");
-    if (depth > s->len)
-      throw std::invalid_argument(
-          "InferenceSession::resume_rows: depth exceeds a state's length");
+  if (prefixes.empty())
+    throw std::invalid_argument("InferenceSession::seat: empty batch");
+  if (!states.empty() && states.size() != prefixes.size())
+    throw std::invalid_argument("InferenceSession::seat: one state per row");
+  const Index n = static_cast<Index>(prefixes.size());
+  // Per row: positions restored from its snapshot.
+  std::vector<Index> depth(prefixes.size(), 0);
+  for (Index i = 0; i < n; ++i) {
+    const auto len = static_cast<Index>(prefixes[i].size());
+    if (len == 0)
+      throw std::invalid_argument("InferenceSession::seat: empty prefix");
+    const KvState* s = states.empty() ? nullptr : states[i];
+    if (s == nullptr) continue;
     if (static_cast<Index>(s->k.size()) != c.n_layers ||
         static_cast<Index>(s->v.size()) != c.n_layers)
       throw std::invalid_argument(
-          "InferenceSession::resume_rows: layer count mismatch");
+          "InferenceSession::seat: layer count mismatch");
+    Index& di = depth[static_cast<std::size_t>(i)];
+    di = std::min(s->len, len);
+    // A snapshot holds logits only for its own depth; one that cannot
+    // supply the prefix's last logits re-feeds the last prefix token.
+    if (di == len &&
+        (s->len != len || static_cast<Index>(s->logits.size()) != c.vocab))
+      --di;
   }
-  reset(static_cast<Index>(states.size()));
+  obs::ScopedLatency latency(InferMetrics::get().prime_us);
+  reset(n);
   const Index d = c.d_model;
-  for (Index l = 0; l < c.n_layers; ++l) {
-    float* kc = kcache_[static_cast<std::size_t>(l)].data();
-    float* vc = vcache_[static_cast<std::size_t>(l)].data();
-    for (Index i = 0; i < batch_; ++i) {
-      const KvState& s = *states[static_cast<std::size_t>(i)];
-      std::memcpy(kc + i * c.context * d,
+  Prefill done;
+  Index longest = 0;  ///< most positions any row still has to step
+  for (Index i = 0; i < n; ++i) {
+    const Index di = depth[static_cast<std::size_t>(i)];
+    const auto len = static_cast<Index>(prefixes[i].size());
+    longest = std::max(longest, len - di);
+    done.computed += static_cast<std::size_t>(len - di);
+    done.restored += static_cast<std::size_t>(di);
+    if (di == 0) continue;
+    const KvState& s = *states[i];
+    for (Index l = 0; l < c.n_layers; ++l) {
+      std::memcpy(kcache_[static_cast<std::size_t>(l)].data() +
+                      i * c.context * d,
                   s.k[static_cast<std::size_t>(l)].data(),
-                  static_cast<std::size_t>(depth * d) * sizeof(float));
-      std::memcpy(vc + i * c.context * d,
+                  static_cast<std::size_t>(di * d) * sizeof(float));
+      std::memcpy(vcache_[static_cast<std::size_t>(l)].data() +
+                      i * c.context * d,
                   s.v[static_cast<std::size_t>(l)].data(),
-                  static_cast<std::size_t>(depth * d) * sizeof(float));
+                  static_cast<std::size_t>(di * d) * sizeof(float));
     }
-  }
-  pos_ = depth;
-  // Restore stored logits only when they correspond to this exact depth
-  // for every row; a shallower resume recomputes them at the next step.
-  bool full = true;
-  for (const KvState* s : states)
-    full = full && s->len == depth &&
-           static_cast<Index>(s->logits.size()) == c.vocab;
-  if (full) {
-    for (Index i = 0; i < batch_; ++i)
-      std::memcpy(logits_.data() + i * c.vocab,
-                  states[static_cast<std::size_t>(i)]->logits.data(),
+    if (di == len)
+      std::memcpy(logits_.data() + i * c.vocab, s.logits.data(),
                   static_cast<std::size_t>(c.vocab) * sizeof(float));
+    pos_[static_cast<std::size_t>(i)] = di;
   }
-  logits_ready_ = full;
-  kv_cache_metrics().prefill_saved.inc(
-      static_cast<std::uint64_t>(depth * batch_));
+  // Step the remainders from their own starts; a row whose prefix is done
+  // sits idle while longer ones finish.
+  std::vector<int> feed(prefixes.size());
+  for (Index t = 0; t < longest; ++t) {
+    for (Index i = 0; i < n; ++i) {
+      const Index p = depth[static_cast<std::size_t>(i)] + t;
+      feed[static_cast<std::size_t>(i)] =
+          p < static_cast<Index>(prefixes[i].size()) ? prefixes[i][p] : kIdle;
+    }
+    step(feed);
+  }
+  KvCacheMetrics& ledger = kv_cache_metrics();
+  ledger.prefill_tokens.inc(done.computed);
+  ledger.prefill_saved.inc(done.restored);
+  return done;
 }
 
 std::span<const float> InferenceSession::prime(std::span<const int> prefix) {
@@ -314,8 +354,7 @@ std::span<const float> InferenceSession::prime(std::span<const int> prefix) {
 }
 
 std::span<const float> InferenceSession::logits_row(Index i) const {
-  PPG_DCHECK(logits_ready_,
-             "logits_row read before a step() or full-depth resume");
+  PPG_DCHECK(position(i) > 0, "logits_row read before the row took a step");
   const Index v = model_->config().vocab;
   return {logits_.data() + i * v, static_cast<std::size_t>(v)};
 }

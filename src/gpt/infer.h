@@ -3,13 +3,19 @@
 // Training goes through nn::Graph; generation volume (millions of guesses)
 // demands a fast path: this session keeps key/value caches per layer so each
 // new token costs O(d² + pos·d) per sequence, processes a whole batch of
-// sequences in lockstep (one GEMM per projection), and allocates all
-// buffers once at reset.
+// sequences together (one GEMM per projection), and allocates all buffers
+// once at reset.
 //
-// All sequences in a session advance together (same position). Callers that
-// need ragged prefixes group them by length (see D&C-GEN's divider).
+// The batch is ragged: every row has its own position, and a row fed
+// InferenceSession::kIdle sits the step out — it does not advance and costs
+// no embed, GEMM, attention or lm_head work (only live rows are gathered
+// into the projections). seat() uses this to bring rows with prefixes of
+// different lengths, resumed from KV snapshots of different depths, to the
+// end of their own prefixes in one pass; decoders retire finished rows the
+// same way.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -41,6 +47,16 @@ class InferenceSession {
   explicit InferenceSession(const GptModel& model,
                             Precision precision = Precision::kFp32);
 
+  /// Marks a row that sits out a step(): it keeps its position, KV cache
+  /// and logits row untouched.
+  static constexpr int kIdle = -1;
+
+  /// Prefill positions of one seat() call.
+  struct Prefill {
+    std::size_t computed = 0;  ///< fed through step()
+    std::size_t restored = 0;  ///< copied from KV snapshots
+  };
+
   /// Starts `batch` fresh sequences at position 0. Buffers are reused when
   /// `batch` fits the largest batch this session has seen, so schedulers
   /// whose tail batches shrink (D&C-GEN, the serve layer) pay no
@@ -48,9 +64,11 @@ class InferenceSession {
   void reset(Index batch);
 
   /// Feeds one token per sequence (tokens.size() == batch()) and returns
-  /// the next-token logits, row-major [batch, vocab]. The returned span is
-  /// valid until the next step()/reset(). Throws when the context window
-  /// is exhausted.
+  /// the logits, row-major [batch, vocab]. A row fed kIdle keeps its
+  /// previous logits; a live row gets the next-token logits after the
+  /// token it was fed. The returned span is valid until the next
+  /// step()/reset()/seat(). Throws when a live row's context window is
+  /// exhausted.
   std::span<const float> step(std::span<const int> tokens);
 
   /// Feeds a shared prefix to every sequence; returns the logits after its
@@ -58,31 +76,30 @@ class InferenceSession {
   /// broadcast across the batch.
   std::span<const float> prime(std::span<const int> prefix);
 
+  /// The session's one seating entry point: starts prefixes.size() fresh
+  /// rows and brings row i to the end of prefixes[i] (non-empty). Row i
+  /// restores its first min(states[i]->len, |prefixes[i]|) positions from
+  /// states[i] (null or an empty `states`: none), then steps the rest of
+  /// its prefix; each step feeds only the rows that still have prefix
+  /// left. Bitwise equivalent to stepping every prefix from position 0
+  /// (per-row float op order is batch invariant; see kv_cache.h). After
+  /// the call every logits_row() is valid; a row whose snapshot covers
+  /// its whole prefix gets the stored logits. Books the positions into the
+  /// kv_cache prefill ledger and returns them. Snapshots are only read
+  /// during the call.
+  Prefill seat(std::span<const std::span<const int>> prefixes,
+               std::span<const KvState* const> states = {});
+
   /// Forks sequence `row` out of this session: copies its per-layer KV
-  /// blocks for positions [0, position()) and its current logits row into
-  /// a standalone KvState. Requires at least one step taken.
+  /// blocks for positions [0, position(row)) and its current logits row
+  /// into a standalone KvState. Requires the row to have taken a step.
   KvState snapshot(Index row) const;
 
-  /// Starts `batch` fresh sequences that all resume from `state`'s first
-  /// `depth` positions — bitwise equivalent to reset(batch) followed by
-  /// stepping the snapshotted prefix (per-sequence float op order is batch
-  /// invariant; see kv_cache.h). When depth == state.len the stored
-  /// logits are restored too, so logits_row() is immediately valid;
-  /// resuming shallower requires a step() before reading logits.
-  void resume(const KvState& state, Index batch);
-  void resume(const KvState& state, Index batch, Index depth);
-
-  /// Per-row resume at a uniform depth: sequence i resumes from
-  /// states[i]'s first `depth` positions (requires depth <= states[i]->len
-  /// for every i; entries must be non-null). Logits are valid only when
-  /// every state's len equals `depth` exactly.
-  void resume_rows(std::span<const KvState* const> states, Index depth);
-
-  /// Logits row for sequence `i` from the last step.
+  /// Logits row for sequence `i` from its last step.
   std::span<const float> logits_row(Index i) const;
 
-  /// Next position to be fed (0 after reset).
-  Index position() const noexcept { return pos_; }
+  /// Next position row `i` will be fed (0 after reset).
+  Index position(Index i) const { return pos_[static_cast<std::size_t>(i)]; }
 
   /// Number of sequences in the current batch.
   Index batch() const noexcept { return batch_; }
@@ -93,10 +110,11 @@ class InferenceSession {
   Precision precision() const noexcept { return precision_; }
 
  private:
-  /// y[batch,n] = x[batch,k]·W + bias for one Linear: fp32 affine when
-  /// `qm` is null, otherwise quantize-activations + int8 GEMM + dequant.
-  void project(Index n, Index k, const float* x, const nn::Linear& lin,
-               const nn::quant::QuantizedMatrix* qm, float* y);
+  /// y[m,n] = x[m,k]·W + bias for one Linear: fp32 affine when `qm` is
+  /// null, otherwise quantize-activations + int8 GEMM + dequant.
+  void project(Index m, Index n, Index k, const float* x,
+               const nn::Linear& lin, const nn::quant::QuantizedMatrix* qm,
+               float* y);
 
   const GptModel* model_;
   Precision precision_ = Precision::kFp32;
@@ -104,14 +122,18 @@ class InferenceSession {
   const QuantizedWeights* qweights_ = nullptr;
   Index batch_ = 0;
   Index capacity_ = 0;  ///< largest batch the buffers are sized for
-  Index pos_ = 0;
-  /// Whether logits_ holds the current position's rows (set by step() and
-  /// full-depth resume; cleared by reset() and partial resume).
-  bool logits_ready_ = false;
+  /// Per row: next position to feed. A row's logits row is valid iff its
+  /// position is > 0 (step() and seat() both leave it valid).
+  std::vector<Index> pos_;
   // Per layer: K and V caches, [batch, context, d_model] flattened.
   std::vector<std::vector<float>> kcache_, vcache_;
-  // Scratch buffers reused across steps.
-  std::vector<float> x_, h_, qkv_, att_, ff_, logits_;
+  /// Logits by row, [batch, vocab].
+  std::vector<float> logits_;
+  /// Live rows of the current step, in row order; compact row j of the
+  /// scratch buffers below is session row live_[j].
+  std::vector<Index> live_;
+  // Scratch buffers reused across steps, compact over live rows.
+  std::vector<float> x_, h_, qkv_, att_, ff_, live_logits_;
   std::vector<float> scores_;  ///< attention-score scratch, one row
   // Int8 activation scratch (kInt8 only): quantized rows + their scales.
   std::vector<std::int8_t> qx_;

@@ -2,28 +2,33 @@
 // forward passes.
 //
 // Every consumer of InferenceSession — D&C-GEN's divider, its leaf
-// generations, and the serve layer's request batches — primes sessions
-// with token prefixes that are *extensions of prefixes already primed*:
+// generations, ordered search, and the serve layer's request batches —
+// seats sessions at token prefixes that are *extensions of prefixes
+// already computed*:
 // a division task's prefix is its parent's plus one token, a leaf's prefix
 // is its parent division's plus one token, and repeated serve requests
-// share their whole `<BOS> pattern <SEP>` prefix. Re-running prime() over
-// the full prefix recomputes per-layer K/V blocks an ancestor already
-// produced. This store memoises them:
+// share their whole `<BOS> pattern <SEP>` prefix. Stepping the full prefix
+// again recomputes per-layer K/V blocks an ancestor already produced. This
+// store memoises them:
 //
 //  * KvState is one sequence's immutable per-layer K/V blocks for
 //    positions [0, len) plus the logits after token len-1 — everything a
 //    session needs to continue decoding as if it had stepped the prefix
-//    itself (InferenceSession::resume / resume_rows).
+//    itself. InferenceSession::seat restores each row of a batch from its
+//    own state at its own depth (the batch is ragged: rows need not share
+//    a prefix length or a resume depth).
 //  * KvTrieCache is a trie over token ids whose nodes own KvStates,
 //    ref-counted by RAII Handles (a pinned node is never evicted) with
 //    LRU eviction of unpinned nodes under a byte budget.
 //
 // Determinism contract: resuming from a cached KvState is bitwise
-// identical to re-priming the same prefix, because per-sequence float op
+// identical to re-stepping the same prefix, because per-sequence float op
 // order is invariant to batch geometry (kernels.h gemm_nn accumulates
 // each output element in the same p-order in the 4-row-blocked and
-// remainder paths; layernorm, attention, and GELU are per-row). A cache
-// hit therefore changes *where* the floats come from, never their values
+// remainder paths; layernorm, attention, and GELU are per-row). The same
+// invariance lets a ragged step compact its live rows into any block
+// position. A cache hit therefore changes *where* the floats come from,
+// never their values
 // — the differential suite in tests/kv_cache_test.cpp locks this down
 // across thread counts and eviction-forcing budgets.
 //
@@ -157,8 +162,8 @@ class KvTrieCache {
 
 /// Process-wide KV-cache metrics ("kv_cache.*" in the global registry):
 /// hit/miss/insert/eviction counters, resident- and evicted-bytes, and the
-/// prefill ledger (token positions computed by prime loops vs skipped by
-/// resuming) that bench_kv_cache reports. Registered once; updates are the
+/// prefill ledger (token positions computed vs restored by
+/// InferenceSession::seat, its only writer) that bench_kv_cache reports. Registered once; updates are the
 /// registry's lock-free fast path.
 struct KvCacheMetrics {
   obs::Counter& hits;
@@ -167,9 +172,9 @@ struct KvCacheMetrics {
   obs::Counter& evictions;
   obs::Counter& evicted_bytes;
   obs::Gauge& bytes;
-  /// Prefill positions actually fed through step() by prime loops.
+  /// Prefill positions InferenceSession::seat fed through step().
   obs::Counter& prefill_tokens;
-  /// Prefill positions skipped because resume() restored them.
+  /// Prefill positions InferenceSession::seat restored from snapshots.
   obs::Counter& prefill_saved;
 };
 KvCacheMetrics& kv_cache_metrics();

@@ -57,6 +57,46 @@ int sample_from_logits(std::span<const float> logits, Rng& rng,
   return items.back().second;
 }
 
+std::vector<std::vector<int>> decode_rows(InferenceSession& session,
+                                          std::span<Rng* const> rngs,
+                                          std::span<const LogitMask* const> masks,
+                                          const SampleOptions& opts) {
+  const Index n = session.batch();
+  const Index context = session.config().context;
+  std::vector<std::vector<int>> generated(static_cast<std::size_t>(n));
+  std::vector<int> next(static_cast<std::size_t>(n), 0);
+  std::vector<float> row(static_cast<std::size_t>(session.config().vocab));
+  Index alive = n;
+  for (Index step = 0; alive > 0; ++step) {
+    for (Index i = 0; i < n; ++i) {
+      int& feed = next[static_cast<std::size_t>(i)];
+      if (feed == InferenceSession::kIdle) continue;  // retired
+      int tok_id = -1;  // a full context leaves nothing to sample
+      if (session.position(i) < context) {
+        const auto logits = session.logits_row(i);
+        std::copy(logits.begin(), logits.end(), row.begin());
+        const LogitMask* mask = masks[static_cast<std::size_t>(i)];
+        if (mask != nullptr && *mask) (*mask)(step, row);
+        tok_id =
+            sample_from_logits(row, *rngs[static_cast<std::size_t>(i)], opts);
+      }
+      // A fully masked row (-1) finishes invalid; decoding rejects it.
+      if (tok_id >= 0) generated[static_cast<std::size_t>(i)].push_back(tok_id);
+      // A row retires on <EOS>, or when its token would fill the context
+      // (no position would be left to sample the next one from).
+      if (tok_id < 0 || tok_id == tok::Tokenizer::kEos ||
+          session.position(i) + 1 >= context) {
+        feed = InferenceSession::kIdle;
+        --alive;
+      } else {
+        feed = tok_id;
+      }
+    }
+    if (alive > 0) session.step(next);
+  }
+  return generated;
+}
+
 std::vector<std::string> sample_passwords(const GptModel& model,
                                           std::span<const int> prefix,
                                           std::size_t count, Rng& rng,
@@ -69,71 +109,25 @@ std::vector<std::string> sample_passwords(const GptModel& model,
   if (count == 0) return out;
   SampleStats local;
   InferenceSession session(model, opts.precision);
-  const Index max_new =
-      model.config().context - static_cast<Index>(prefix.size());
-  std::vector<float> row(static_cast<std::size_t>(model.config().vocab));
   const std::size_t attempt_budget =
       count * static_cast<std::size_t>(std::max(opts.max_attempt_factor, 1));
 
   while (out.size() < count && local.sequences_run < attempt_budget) {
-    const Index n = static_cast<Index>(std::min<std::size_t>(
-        static_cast<std::size_t>(opts.batch_size), count - out.size()));
-    local.sequences_run += static_cast<std::size_t>(n);
-    const Index depth =
-        resume == nullptr
-            ? 0
-            : std::min(resume->len, static_cast<Index>(prefix.size()));
-    if (depth > 0) {
-      session.resume(*resume, n, depth);
-      if (static_cast<std::size_t>(depth) < prefix.size())
-        session.prime(prefix.subspan(static_cast<std::size_t>(depth)));
-    } else {
-      session.reset(n);
-      session.prime(prefix);
-    }
-    const std::size_t primed =
-        (prefix.size() - static_cast<std::size_t>(depth)) *
-        static_cast<std::size_t>(n);
-    local.prefill_tokens += primed;
-    local.prefill_saved +=
-        static_cast<std::size_t>(depth) * static_cast<std::size_t>(n);
-    kv_cache_metrics().prefill_tokens.inc(primed);
-    std::vector<std::vector<int>> generated(static_cast<std::size_t>(n));
-    std::vector<bool> active(static_cast<std::size_t>(n), true);
-    std::vector<int> next(static_cast<std::size_t>(n), tok::Tokenizer::kPad);
-    Index alive = n;
-    for (Index step = 0; step < max_new && alive > 0; ++step) {
-      for (Index i = 0; i < n; ++i) {
-        if (!active[static_cast<std::size_t>(i)]) {
-          next[static_cast<std::size_t>(i)] = tok::Tokenizer::kPad;
-          continue;
-        }
-        const auto logits = session.logits_row(i);
-        std::copy(logits.begin(), logits.end(), row.begin());
-        if (mask) mask(step, row);
-        const int tok_id = sample_from_logits(row, rng, opts);
-        if (tok_id < 0 || tok_id == tok::Tokenizer::kEos) {
-          // Sequence finished (or fully masked -> finished-invalid; the
-          // decode below rejects structurally bad sequences).
-          if (tok_id == tok::Tokenizer::kEos)
-            generated[static_cast<std::size_t>(i)].push_back(tok_id);
-          active[static_cast<std::size_t>(i)] = false;
-          --alive;
-          next[static_cast<std::size_t>(i)] = tok::Tokenizer::kPad;
-          continue;
-        }
-        generated[static_cast<std::size_t>(i)].push_back(tok_id);
-        next[static_cast<std::size_t>(i)] = tok_id;
-      }
-      if (alive > 0 && session.position() < model.config().context)
-        session.step(next);
-      else
-        break;
-    }
-    for (Index i = 0; i < n && out.size() < count; ++i) {
+    const auto n = std::min<std::size_t>(
+        static_cast<std::size_t>(opts.batch_size), count - out.size());
+    local.sequences_run += n;
+    const std::vector<std::span<const int>> prefixes(n, prefix);
+    const std::vector<const KvState*> states(n, resume);
+    const auto prefill = session.seat(prefixes, states);
+    local.prefill_tokens += prefill.computed;
+    local.prefill_saved += prefill.restored;
+    // Every row draws from the one caller Rng, in row order.
+    const std::vector<Rng*> rngs(n, &rng);
+    const std::vector<const LogitMask*> masks(n, &mask);
+    const auto generated = decode_rows(session, rngs, masks, opts);
+    for (std::size_t i = 0; i < n && out.size() < count; ++i) {
       std::vector<int> full(prefix.begin(), prefix.end());
-      full.insert(full.end(), generated[static_cast<std::size_t>(i)].begin(),
-                  generated[static_cast<std::size_t>(i)].end());
+      full.insert(full.end(), generated[i].begin(), generated[i].end());
       const auto pw = tok::Tokenizer::decode_password(full);
       if (pw.has_value() && !pw->empty())
         out.push_back(*pw);

@@ -61,7 +61,7 @@ using LogitMask = std::function<void(Index step, std::span<float> logits)>;
 ///
 /// When `resume` covers a leading part of `prefix` (resume->len <=
 /// prefix.size()), every batch restores those positions from the snapshot
-/// and primes only the remainder — bitwise identical to priming the whole
+/// and steps only the remainder — bitwise identical to stepping the whole
 /// prefix (see kv_cache.h), just cheaper. The snapshot must stay alive
 /// (e.g. a pinned KvTrieCache::Handle) for the duration of the call.
 std::vector<std::string> sample_passwords(const GptModel& model,
@@ -71,6 +71,19 @@ std::vector<std::string> sample_passwords(const GptModel& model,
                                           const LogitMask& mask = nullptr,
                                           SampleStats* stats = nullptr,
                                           const KvState* resume = nullptr);
+
+/// The decode loop shared by every sampling caller. Decodes each row of a
+/// seated session (see InferenceSession::seat) until it samples <EOS>, is
+/// fully masked, or reaches the end of the context: step by step, row by
+/// row in row order, it masks the row's logits with masks[i] (null or
+/// empty = none), samples with rngs[i], and retires the row or feeds it
+/// the token. Retired rows sit idle. Rows may share one Rng, which then
+/// draws in row order within each step. Returns each row's generated
+/// tokens, with the <EOS> when one was sampled.
+std::vector<std::vector<int>> decode_rows(InferenceSession& session,
+                                          std::span<Rng* const> rngs,
+                                          std::span<const LogitMask* const> masks,
+                                          const SampleOptions& opts);
 
 /// Samples a token id from raw logits under the given options.
 int sample_from_logits(std::span<const float> logits, Rng& rng,

@@ -89,72 +89,45 @@ OrderedEnumerator::Node OrderedEnumerator::pop_node() {
   return n;
 }
 
+void OrderedEnumerator::seat(std::span<const int> prefix,
+                             const gpt::KvState* state) {
+  const std::span<const int> prefixes[] = {prefix};
+  const gpt::KvState* const states[] = {state};
+  const auto prefill = session_.seat(prefixes, states);
+  stats_.prefill_tokens += prefill.computed;
+  stats_.prefill_saved += prefill.restored;
+}
+
 void OrderedEnumerator::expand_root() {
-  const Index depth =
-      resume_ ? std::min<Index>(resume_->len,
-                                static_cast<Index>(prefix_.size()))
-              : 0;
-  if (resume_ && depth > 0) {
-    PPG_CHECK(resume_->len <= static_cast<Index>(prefix_.size()),
-              "resume snapshot (%d) deeper than prefix (%zu)",
-              static_cast<int>(resume_->len), prefix_.size());
-    session_.resume(*resume_, 1, depth);
-  } else {
-    session_.reset(1);
-  }
-  stats_.prefill_saved += static_cast<std::size_t>(depth);
-  for (std::size_t i = depth; i < prefix_.size(); ++i) {
-    int t = prefix_[i];
-    session_.step(std::span<const int>(&t, 1));
-    ++stats_.prefill_tokens;
-  }
+  PPG_CHECK(!resume_ || resume_->len <= static_cast<Index>(prefix_.size()),
+            "resume snapshot (%d) deeper than prefix (%zu)",
+            static_cast<int>(resume_->len), prefix_.size());
+  seat(prefix_, resume_);
   resume_ = nullptr;  // never needed again
-  gpt::KvState root = session_.snapshot(0);
-  std::span<const float> logits = session_.logits_row(0);
-  cache_.insert(prefix_, std::move(root));
-  push_children(prefix_, 0.0, logits);
+  cache_.insert(prefix_, session_.snapshot(0));
+  push_children(prefix_, 0.0, session_.logits_row(0));
 }
 
 void OrderedEnumerator::expand(Node node) {
   obs::Span span("search/expand", "search");
   const auto& seq = node.seq;
-  const Index parent_len = static_cast<Index>(seq.size()) - 1;
-  // The final step() of seq.back() is the scoring forward pass every
-  // expansion pays regardless of caching; the prefill ledger counts only
-  // the positions *before* it — restored by resume (saved) or re-fed
-  // because a snapshot was evicted (tokens).
-  if (node.parent && node.parent.len() == parent_len) {
-    session_.resume(*node.parent.state(), 1, parent_len);
-    stats_.prefill_saved += static_cast<std::size_t>(parent_len);
-    int t = seq.back();
-    session_.step(std::span<const int>(&t, 1));
-  } else {
-    // The parent snapshot was evicted before this node could pin it (tiny
-    // byte budgets). Re-derive from the deepest surviving ancestor —
-    // bitwise identical to the resume path by the kv_cache contract.
-    auto hit = cache_.find_longest(seq);
-    const Index depth = hit ? std::min(hit.len(), parent_len) : 0;
-    if (hit) {
-      session_.resume(*hit.state(), 1, depth);
-    } else {
-      session_.reset(1);
-    }
-    stats_.prefill_saved += static_cast<std::size_t>(depth);
-    stats_.prefill_tokens +=
-        static_cast<std::size_t>(parent_len) - static_cast<std::size_t>(depth);
-    for (std::size_t i = static_cast<std::size_t>(depth); i < seq.size();
-         ++i) {
-      int t = seq[i];
-      session_.step(std::span<const int>(&t, 1));
-    }
-  }
-  node.parent.release();
+  const auto parent = std::span<const int>(seq).first(seq.size() - 1);
+  // Seat at the parent's end, from the node's pinned parent snapshot. When
+  // that was evicted before this node could pin it (tiny byte budgets),
+  // re-derive from the deepest surviving ancestor — bitwise identical by
+  // the kv_cache contract; seat() books the re-fed positions as prefill.
+  gpt::KvTrieCache::Handle pin =
+      node.parent ? std::move(node.parent) : cache_.find_longest(parent);
+  seat(parent, pin.state());
+  pin.release();
+  // The scoring step of seq.back(), paid by every expansion regardless of
+  // caching, is a plain step and not prefill.
+  const int last = seq.back();
+  session_.step(std::span<const int>(&last, 1));
   ++stats_.nodes_expanded;
   search_metrics().nodes_expanded.inc();
-  gpt::KvState state = session_.snapshot(0);
-  std::span<const float> logits = session_.logits_row(0);
-  cache_.insert(seq, std::move(state));
-  push_children(seq, node.logp, logits);
+  cache_.insert(seq, session_.snapshot(0));
+  push_children(seq, node.logp, session_.logits_row(0));
 }
 
 void OrderedEnumerator::push_children(const std::vector<int>& seq, double logp,

@@ -160,6 +160,9 @@ class OrderedEnumerator {
     return b.seq < a.seq;
   }
 
+  /// Seats the session's single row at the end of `prefix`, resuming from
+  /// `state` (may be null), and books the prefill into stats_.
+  void seat(std::span<const int> prefix, const gpt::KvState* state);
   void expand_root();
   void expand(Node node);
   /// Scores `logits` after `seq` (masked + renormalized), pushes every

@@ -346,28 +346,23 @@ void GuessService::assemble_batch_locked(std::vector<RowRef>& rows) {
   };
 
   auto it = queue_.begin();
-  std::size_t len;
   if (rows.empty()) {
-    // Fresh batch: the front request sets the batch's prefix length.
-    len = (*it)->prefix.size();
+    // Fresh batch, led by the front request.
     const bool ordered = (*it)->ordered;
     take(*it);
     it = (*it)->unassigned == 0 ? ((*it)->in_queue = false, queue_.erase(it))
                                 : std::next(it);
     if (ordered) {
       // An ordered enumeration owns its worker outright: it is not a
-      // lockstep row, so nothing may coalesce with it (and the formation
+      // sampling row, so nothing may coalesce with it (and the formation
       // window is skipped — see worker_loop).
       ServeMetrics::get().queue_depth.set(static_cast<double>(queue_.size()));
       return;
     }
-  } else {
-    // Top-up after a formation-window wait: only matching lengths join.
-    len = rows[0].req->prefix.size();
   }
   if (cfg_.batching) {
-    // Coalesce further requests with the same prefix length (lockstep
-    // compatibility) until the batch is full.
+    // Coalesce further sampling requests, whatever their prefix lengths
+    // (the session seats ragged rows), until the batch is full.
     while (it != queue_.end() && rows.size() < cfg_.max_batch) {
       auto& p = *it;
       if (p->done) {
@@ -381,7 +376,7 @@ void GuessService::assemble_batch_locked(std::vector<RowRef>& rows) {
         it = queue_.erase(it);
         continue;
       }
-      if (p->ordered || p->prefix.size() != len) {
+      if (p->ordered) {
         ++it;
         continue;
       }
@@ -460,104 +455,56 @@ void GuessService::execute_batch(gpt::InferenceSession& session,
   if (obs::timing_enabled())
     m.batch_rows.observe(static_cast<double>(rows.size()));
 
-  const auto& c = model_.config();
-  const auto n = static_cast<gpt::Index>(rows.size());
-  const std::size_t len = rows[0].req->prefix.size();
-#if defined(PPG_ENABLE_DCHECKS)
-  // Lockstep decoding requires a shape-homogeneous batch; a mixed batch
-  // would feed one request's pattern tokens into another's rows.
-  for (const RowRef& r : rows)
-    PPG_DCHECK(r.req->prefix.size() == len,
-               "mixed prefix lengths in one batch (%zu vs %zu)",
-               r.req->prefix.size(), len);
-#endif
-  // Prefill, resuming from the prefix cache where possible. Rows of one
-  // request are adjacent in the batch, so one lookup per request covers
-  // its whole row run. The batch resumes at the *shallowest* per-row hit
-  // depth (lockstep sessions share one position); an exact full-prefix
-  // hit on every row skips prefill entirely — resume_rows restores the
-  // stored logits. Handles stay live past the insert below so pinned
-  // states cannot be evicted mid-use.
-  std::size_t depth = 0;
+  // Seat every row at the end of its own request's prefix, resuming from
+  // the request's deepest cached ancestor: an exact full-prefix hit skips
+  // that row's prefill entirely. Rows of one request are adjacent in the
+  // batch, so one lookup per request covers its whole row run. Handles
+  // stay live past the inserts below so pinned states cannot be evicted
+  // mid-use.
+  std::vector<std::span<const int>> prefixes;
   std::vector<gpt::KvTrieCache::Handle> handles;  ///< one per distinct request
   std::vector<const gpt::KvState*> states;        ///< one per row
-  if (prefix_cache_) {
-    depth = len;
-    states.reserve(rows.size());
-    const Pending* prev = nullptr;
-    for (const RowRef& r : rows) {
-      if (r.req.get() != prev) {
-        prev = r.req.get();
-        handles.push_back(prefix_cache_->find_longest(r.req->prefix));
-        depth = std::min(depth, static_cast<std::size_t>(handles.back().len()));
-      }
-      states.push_back(handles.back().state());
+  prefixes.reserve(rows.size());
+  const Pending* prev = nullptr;
+  for (const RowRef& r : rows) {
+    prefixes.emplace_back(r.req->prefix);
+    if (!prefix_cache_) continue;
+    if (r.req.get() != prev) {
+      prev = r.req.get();
+      handles.push_back(prefix_cache_->find_longest(r.req->prefix));
     }
+    states.push_back(handles.back().state());
   }
-  if (depth > 0) {
-    session.resume_rows(states, static_cast<gpt::Index>(depth));
-  } else {
-    session.reset(n);
-  }
-  std::vector<int> feed(rows.size());
-  for (std::size_t pos = depth; pos < len; ++pos) {
-    for (std::size_t i = 0; i < rows.size(); ++i)
-      feed[i] = rows[i].req->prefix[pos];
-    session.step(feed);
-  }
-  gpt::kv_cache_metrics().prefill_tokens.inc((len - depth) * rows.size());
-  if (prefix_cache_ && depth < len) {
-    // Memoise the post-prefix state once per distinct request in the batch
-    // (first-insert-wins makes re-inserts of already-cached prefixes a
-    // no-op) so future requests with the same pattern prefix resume here.
-    const Pending* prev = nullptr;
+  session.seat(prefixes, states);
+  if (prefix_cache_) {
+    // Memoise the post-prefix state once per request that missed it, so
+    // future requests with the same prefix resume here.
+    prev = nullptr;
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      if (rows[i].req.get() == prev) continue;
-      prev = rows[i].req.get();
-      prefix_cache_->insert(rows[i].req->prefix,
-                            session.snapshot(static_cast<gpt::Index>(i)));
+      const Pending& p = *rows[i].req;
+      if (&p == prev) continue;
+      prev = &p;
+      if (states[i] == nullptr ||
+          states[i]->len < static_cast<gpt::Index>(p.prefix.size()))
+        prefix_cache_->insert(p.prefix,
+                              session.snapshot(static_cast<gpt::Index>(i)));
     }
   }
 
   // Per-row deterministic RNG streams: independent of batch composition,
   // worker count, and batching mode.
   std::vector<Rng> rngs;
+  std::vector<Rng*> rng_ptrs;
+  std::vector<const gpt::LogitMask*> masks;
   rngs.reserve(rows.size());
-  for (const RowRef& r : rows)
+  for (const RowRef& r : rows) {
     rngs.emplace_back(r.req->seed,
                       "serve.row/" + std::to_string(r.row_index));
-
-  std::vector<std::vector<int>> generated(rows.size());
-  std::vector<char> active(rows.size(), 1);
-  std::vector<int> next(rows.size(), Tokenizer::kPad);
-  std::vector<float> row_logits(static_cast<std::size_t>(c.vocab));
-  gpt::Index alive = n;
-  const gpt::Index max_new = c.context - static_cast<gpt::Index>(len);
-  for (gpt::Index step = 0; step < max_new && alive > 0; ++step) {
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      if (!active[i]) {
-        next[i] = Tokenizer::kPad;
-        continue;
-      }
-      const auto logits = session.logits_row(static_cast<gpt::Index>(i));
-      std::copy(logits.begin(), logits.end(), row_logits.begin());
-      if (rows[i].req->mask) rows[i].req->mask(step, row_logits);
-      const int tok_id = sample_from_logits(row_logits, rngs[i], cfg_.sample);
-      if (tok_id < 0 || tok_id == Tokenizer::kEos) {
-        if (tok_id == Tokenizer::kEos) generated[i].push_back(tok_id);
-        active[i] = 0;
-        --alive;
-        next[i] = Tokenizer::kPad;
-        continue;
-      }
-      generated[i].push_back(tok_id);
-      next[i] = tok_id;
-    }
-    if (alive > 0 && session.position() < c.context)
-      session.step(next);
-    else
-      break;
+    rng_ptrs.push_back(&rngs.back());
+    masks.push_back(&r.req->mask);
   }
+  const auto generated =
+      gpt::decode_rows(session, rng_ptrs, masks, cfg_.sample);
 
   // Deliver rows and complete finished requests.
   bool new_work = false;
@@ -609,8 +556,8 @@ void GuessService::worker_loop(std::size_t index) {
         if (draining_ && queue_.empty()) return;
         work_cv_.wait(lock);
       }
-      // Batch-formation window: hold a partial batch briefly so
-      // same-shape arrivals join it instead of convoying behind a full
+      // Batch-formation window: hold a partial batch briefly so later
+      // arrivals join it instead of convoying behind a full
       // generation pass. Every wake-up (new submit, retry, shutdown)
       // tops the batch up; a full batch or the deadline ends the wait.
       if (cfg_.batching && cfg_.batch_window_us > 0 &&

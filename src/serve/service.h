@@ -6,10 +6,11 @@
 //  * bounded admission queue with explicit backpressure — submit() never
 //    blocks and never grows without bound; a full queue (or a draining
 //    service) rejects immediately with a reason;
-//  * dynamic batching — worker threads coalesce pending requests whose
-//    token prefixes have equal length into single lockstep
-//    InferenceSession batches (the same grouping D&C-GEN's divider uses),
-//    so sixteen count-1 requests cost one model call, not sixteen;
+//  * dynamic batching — worker threads coalesce pending sampling requests
+//    of any prefix length into single InferenceSession batches: the
+//    session seats each row at the end of its own prefix (ragged rows)
+//    and retires finished rows, so sixteen count-1 requests cost one
+//    model call, not sixteen;
 //  * per-worker sessions — each worker owns one InferenceSession whose
 //    buffers persist across batches (reset() reuse keeps shrinking tail
 //    batches allocation-free);
@@ -20,10 +21,10 @@
 //    and joins the workers; every submitted request resolves its future
 //    exactly once;
 //  * cross-request prefix caching — a shared KvTrieCache keyed on the
-//    request's token prefix (pattern / pattern+chars). A batch whose rows
-//    all have a cached ancestor resumes from it instead of re-priming;
-//    an exact full-prefix hit skips prefill entirely. Responses are
-//    bitwise identical to a cold-cache run (see kv_cache.h).
+//    request's token prefix (pattern / pattern+chars). Each row resumes
+//    from its request's deepest cached ancestor instead of re-priming;
+//    an exact full-prefix hit skips that row's prefill entirely.
+//    Responses are bitwise identical to a cold-cache run (see kv_cache.h).
 //
 // Results are deterministic in (model, request): row r of a request draws
 // from Rng(seed, "serve.row/r"), so the same request returns the same
@@ -128,7 +129,7 @@ struct ServiceConfig {
   /// Give up on a request after count*max_attempt_factor generation rows.
   int max_attempt_factor = 4;
   /// Batch-formation window: a worker holding a partial batch waits up to
-  /// this long for same-shape arrivals before running it. Trades a little
+  /// this long for more sampling arrivals before running it. Trades a little
   /// head-of-line latency for occupancy — without it, a straggler that
   /// misses a batch by a microsecond convoys behind a full generation
   /// pass. 0 disables; ignored when batching is off.
@@ -209,8 +210,8 @@ class GuessService {
   std::future<Response> reject(Request&& req, Reject why, std::string detail);
   void worker_loop(std::size_t worker_id);
   /// Pops expired/finished requests and appends runnable rows to `rows`
-  /// (up to max_batch). When `rows` is non-empty it only tops up with
-  /// requests matching the batch's prefix length. Caller holds mu_.
+  /// (up to max_batch). An ordered request always runs alone; sampling
+  /// requests of any prefix length share a batch. Caller holds mu_.
   void assemble_batch_locked(std::vector<RowRef>& rows) PPG_REQUIRES(mu_);
   /// Completes `p` with `s` now. Caller holds mu_.
   void complete_locked(Pending& p, Status s) PPG_REQUIRES(mu_);
@@ -218,7 +219,7 @@ class GuessService {
   void execute_batch(gpt::InferenceSession& session,
                      const std::vector<RowRef>& rows);
   /// Runs one kOrdered request to completion (always a single-row batch;
-  /// ordered requests never coalesce with lockstep sampling rows).
+  /// ordered requests never coalesce with sampling rows).
   void execute_ordered(const RowRef& row);
 
   const gpt::GptModel& model_;

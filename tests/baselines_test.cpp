@@ -12,6 +12,7 @@
 #include "baselines/vaepass.h"
 #include "data/corpus.h"
 #include "pcfg/pattern.h"
+#include "test_util.h"
 
 namespace ppg::baselines {
 namespace {
@@ -247,14 +248,13 @@ TEST(PassGan, SaveLoadRoundTrip) {
   cfg.batch = 16;
   PassGan a(cfg, 30);
   a.train(training_corpus());
-  const auto path =
-      (std::filesystem::temp_directory_path() / "ppg_gan.ckpt").string();
+  const testing::TempDir dir;
+  const auto path = dir.file("gan.ckpt");
   a.save(path);
   PassGan b(cfg, 31);
   b.load(path);
   Rng r1(32), r2(32);
   EXPECT_EQ(a.generate(20, r1), b.generate(20, r2));
-  std::filesystem::remove(path);
 }
 
 TEST(VaePass, SaveLoadRoundTrip) {
@@ -262,14 +262,13 @@ TEST(VaePass, SaveLoadRoundTrip) {
   cfg.epochs = 1;
   VaePass a(cfg, 33);
   a.train(training_corpus());
-  const auto path =
-      (std::filesystem::temp_directory_path() / "ppg_vae.ckpt").string();
+  const testing::TempDir dir;
+  const auto path = dir.file("vae.ckpt");
   a.save(path);
   VaePass b(cfg, 34);
   b.load(path);
   Rng r1(35), r2(35);
   EXPECT_EQ(a.generate(20, r1), b.generate(20, r2));
-  std::filesystem::remove(path);
 }
 
 TEST(PassFlow, SaveLoadRoundTrip) {
@@ -277,14 +276,13 @@ TEST(PassFlow, SaveLoadRoundTrip) {
   cfg.epochs = 1;
   PassFlow a(cfg, 36);
   a.train(training_corpus());
-  const auto path =
-      (std::filesystem::temp_directory_path() / "ppg_flow.ckpt").string();
+  const testing::TempDir dir;
+  const auto path = dir.file("flow.ckpt");
   a.save(path);
   PassFlow b(cfg, 37);
   b.load(path);
   Rng r1(38), r2(38);
   EXPECT_EQ(a.generate(20, r1), b.generate(20, r2));
-  std::filesystem::remove(path);
 }
 
 TEST(PassFlow, LoadRejectsConfigMismatch) {
@@ -292,14 +290,13 @@ TEST(PassFlow, LoadRejectsConfigMismatch) {
   cfg.epochs = 1;
   PassFlow a(cfg, 39);
   a.train(training_corpus());
-  const auto path =
-      (std::filesystem::temp_directory_path() / "ppg_flow2.ckpt").string();
+  const testing::TempDir dir;
+  const auto path = dir.file("flow2.ckpt");
   a.save(path);
   PassFlowConfig other = cfg;
   other.couplings = 6;
   PassFlow b(other, 40);
   EXPECT_THROW(b.load(path), std::runtime_error);
-  std::filesystem::remove(path);
 }
 
 TEST(Markov, EnumerateApproximatelyDescendingProbability) {

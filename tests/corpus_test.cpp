@@ -80,6 +80,13 @@ struct RetentionCase {
   double lo, hi;
 };
 
+// Prints a case as its site name. The default printer dumps the struct's
+// bytes, function-pointer address included, so the listed test names
+// would change from one run to the next.
+void PrintTo(const RetentionCase& c, std::ostream* os) {
+  *os << c.profile().name;
+}
+
 class RetentionTest : public ::testing::TestWithParam<RetentionCase> {};
 
 TEST_P(RetentionTest, MatchesTableTwoBand) {

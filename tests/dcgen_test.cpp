@@ -10,6 +10,7 @@
 #include "data/corpus.h"
 #include "eval/metrics.h"
 #include "obs/metrics.h"
+#include "test_util.h"
 
 namespace ppg::core {
 namespace {
@@ -393,15 +394,12 @@ TEST(DcGen, OrderedBudgetsChangeJournalFingerprint) {
   // regenerates from scratch instead of replaying mismatched leaves.
   const auto& m = shared_model();
   const auto dist = small_space_patterns();
-  namespace fs = std::filesystem;
-  const auto dir = fs::temp_directory_path() / "ppg_dcgen_ordered_journal";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  const testing::TempDir dir;
   DcGenConfig cfg;
   cfg.total = 120;
   cfg.threshold = 20;
   cfg.leaf_mode = LeafMode::kOrdered;
-  cfg.journal_dir = dir.string();
+  cfg.journal_dir = dir.path().string();
   const auto a = dc_generate(m.model(), dist, cfg, 3);
   DcGenConfig shrunk = cfg;
   shrunk.ordered_max_nodes = 64;  // different truncation behaviour
@@ -409,7 +407,6 @@ TEST(DcGen, OrderedBudgetsChangeJournalFingerprint) {
   const auto b = dc_generate(m.model(), dist, shrunk, 3, &stats);
   EXPECT_FALSE(stats.resumed_plan);  // fingerprint mismatch forced a redo
   EXPECT_EQ(stats.resumed_leaves, 0u);
-  fs::remove_all(dir);
 }
 
 }  // namespace

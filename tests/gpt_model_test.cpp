@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "gpt/trainer.h"
+#include "test_util.h"
 #include "tokenizer/tokenizer.h"
 
 namespace ppg::gpt {
@@ -146,7 +147,8 @@ TEST(GptModel, EvaluateNllMatchesLossOnSameData) {
 }
 
 TEST(GptModel, SaveLoadRoundTrip) {
-  const auto path = std::filesystem::temp_directory_path() / "ppg_test.ckpt";
+  const testing::TempDir dir;
+  const auto path = dir.path() / "model.ckpt";
   GptModel a(Config::tiny(), 9);
   a.save(path.string());
   GptModel b(Config::tiny(), 10);  // different init
@@ -158,17 +160,15 @@ TEST(GptModel, SaveLoadRoundTrip) {
     const auto db = pb[i].tensor.data();
     for (std::size_t j = 0; j < da.size(); ++j) EXPECT_EQ(da[j], db[j]);
   }
-  std::filesystem::remove(path);
 }
 
 TEST(GptModel, LoadRejectsConfigMismatch) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "ppg_test_cfg.ckpt";
+  const testing::TempDir dir;
+  const auto path = dir.path() / "model.ckpt";
   GptModel a(Config::tiny(), 11);
   a.save(path.string());
   GptModel b(Config::bench(), 12);
   EXPECT_THROW(b.load(path.string()), std::runtime_error);
-  std::filesystem::remove(path);
 }
 
 TEST(GptModel, LoadRejectsMissingFile) {

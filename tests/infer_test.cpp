@@ -1,10 +1,14 @@
 #include "gpt/infer.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "nn/graph.h"
+#include "obs/metrics.h"
 
 namespace ppg::gpt {
 namespace {
@@ -123,8 +127,34 @@ TEST(InferenceSession, RejectsOutOfRangeToken) {
   const GptModel m(Config::tiny(), 47);
   InferenceSession s(m);
   s.reset(1);
-  const int bad = 999;
-  EXPECT_THROW(s.step(std::span<const int>(&bad, 1)), std::invalid_argument);
+  for (const int bad : {999, -2, -1000, std::numeric_limits<int>::min()}) {
+    ASSERT_NE(bad, InferenceSession::kIdle);
+    EXPECT_THROW(s.step(std::span<const int>(&bad, 1)), std::invalid_argument)
+        << bad;
+  }
+}
+
+TEST(InferenceSession, IdleRowKeepsPositionAndCostsNoTokens) {
+  const GptModel m(Config::tiny(), 56);
+  InferenceSession s(m);
+  s.reset(3);
+  s.step(std::vector<int>{0, 0, 0});
+  const auto before = s.logits_row(1);
+  const std::vector<float> kept(before.begin(), before.end());
+  auto& tokens = obs::Registry::global().counter("infer.tokens");
+  const auto tokens_before = tokens.value();
+  s.step(std::vector<int>{5, InferenceSession::kIdle, 7});
+  EXPECT_EQ(tokens.value() - tokens_before, 2u);
+  EXPECT_EQ(s.position(0), 2);
+  EXPECT_EQ(s.position(1), 1);
+  EXPECT_EQ(s.position(2), 2);
+  const auto after = s.logits_row(1);
+  EXPECT_TRUE(std::equal(kept.begin(), kept.end(), after.begin()));
+  // A step with every row idle computes nothing.
+  const std::vector<int> all_idle(3, InferenceSession::kIdle);
+  s.step(all_idle);
+  EXPECT_EQ(tokens.value() - tokens_before, 2u);
+  EXPECT_EQ(s.position(1), 1);
 }
 
 TEST(InferenceSession, ContextExhaustionThrows) {
@@ -143,9 +173,9 @@ TEST(InferenceSession, ResetRestartsPosition) {
   s.reset(1);
   const int tok = 3;
   s.step(std::span<const int>(&tok, 1));
-  EXPECT_EQ(s.position(), 1);
+  EXPECT_EQ(s.position(0), 1);
   s.reset(4);
-  EXPECT_EQ(s.position(), 0);
+  for (Index i = 0; i < 4; ++i) EXPECT_EQ(s.position(i), 0);
   EXPECT_EQ(s.batch(), 4);
 }
 

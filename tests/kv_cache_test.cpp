@@ -1,5 +1,5 @@
 // KV-cache test suite (DESIGN.md §10): trie-store properties (refcounts,
-// LRU eviction, byte budget), snapshot/resume bitwise equivalence against
+// LRU eviction, byte budget), snapshot/seat bitwise equivalence against
 // prime()/step(), and the differential determinism suite — dc_generate
 // with the cache enabled must be byte-identical to the cache disabled for
 // any seed, thread count, and byte budget (including budgets tiny enough
@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -211,6 +212,16 @@ std::vector<int> test_prefix() {
   return tok::Tokenizer::encode_generation_prefix(segs);
 }
 
+/// Seats `rows` rows at the end of `prefix`, each resuming from `snap`.
+void seat_all(InferenceSession& s, std::span<const int> prefix, Index rows,
+              const KvState& snap) {
+  const std::vector<std::span<const int>> prefixes(
+      static_cast<std::size_t>(rows), prefix);
+  const std::vector<const KvState*> states(static_cast<std::size_t>(rows),
+                                           &snap);
+  s.seat(prefixes, states);
+}
+
 TEST(KvSessionResume, FullDepthResumeRestoresLogitsBitwise) {
   const auto& model = test_model();
   const auto prefix = test_prefix();
@@ -222,7 +233,7 @@ TEST(KvSessionResume, FullDepthResumeRestoresLogitsBitwise) {
   EXPECT_EQ(snap.len, static_cast<Index>(prefix.size()));
 
   InferenceSession resumed(model);
-  resumed.resume(snap, 3);  // fan one snapshot out to a 3-row batch
+  seat_all(resumed, prefix, 3, snap);  // fan one snapshot out to 3 rows
   for (Index r = 0; r < 3; ++r) {
     const auto got = resumed.logits_row(r);
     EXPECT_TRUE(std::equal(ref_logits.begin(), ref_logits.end(), got.begin()))
@@ -239,7 +250,7 @@ TEST(KvSessionResume, ResumedStepMatchesPrimedStepBitwise) {
   KvState snap = ref.snapshot(1);
 
   InferenceSession resumed(model);
-  resumed.resume(snap, 2);
+  seat_all(resumed, prefix, 2, snap);
   // Continue decoding the same token on both sessions: the KV restored
   // from the snapshot must behave exactly like the KV the session built.
   const std::vector<int> next = {prefix.back(), prefix.back()};
@@ -269,8 +280,7 @@ TEST(KvSessionResume, PartialDepthResumePlusPrimeMatchesFullPrime) {
   const KvState snap = half.snapshot(0);
 
   InferenceSession resumed(model);
-  resumed.resume(snap, 1);
-  resumed.prime(std::span<const int>(prefix).subspan(cut));
+  seat_all(resumed, prefix, 1, snap);  // restores `cut`, steps the rest
   const auto got = resumed.logits_row(0);
   EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin()));
 }
@@ -280,28 +290,70 @@ TEST(KvSessionResume, ResumeRowsMixedStatesMatchPerRowReference) {
   const auto pa = test_prefix();
   auto pb = pa;
   pb.back() = pa.front();  // a second, different prefix of equal length
+  // A third prefix of a different length.
+  const auto pc = tok::Tokenizer::encode_generation_prefix(
+      *pcfg::parse_pattern("L2N1S1L3"));
+  ASSERT_NE(pc.size(), pa.size());
 
-  InferenceSession sa(model);
-  sa.reset(1);
-  sa.prime(pa);
-  const KvState snap_a = sa.snapshot(0);
-  InferenceSession sb(model);
-  sb.reset(1);
-  sb.prime(pb);
-  const KvState snap_b = sb.snapshot(0);
+  /// Snapshot of `prefix`'s first `depth` positions.
+  const auto snap_at = [&](const std::vector<int>& prefix, std::size_t depth) {
+    InferenceSession s(model);
+    s.reset(1);
+    s.prime(std::span<const int>(prefix).first(depth));
+    return s.snapshot(0);
+  };
+  const KvState snap_a = snap_at(pa, pa.size());  // whole prefix + logits
+  const KvState snap_b = snap_at(pb, 2);
+  const KvState snap_c = snap_at(pc, pc.size() - 1);
 
-  const std::vector<const KvState*> states = {&snap_a, &snap_b, &snap_a};
+  // Rows resume from states at different depths (one from none at all).
+  const std::vector<const std::vector<int>*> rows = {&pa, &pb, &pc, &pa,
+                                                     &pb};
+  const std::vector<const KvState*> states = {&snap_a, &snap_b, &snap_c,
+                                              &snap_a, nullptr};
+  std::vector<std::span<const int>> prefixes;
+  for (const auto* r : rows) prefixes.emplace_back(*r);
   InferenceSession mixed(model);
-  mixed.resume_rows(states, static_cast<Index>(pa.size()));
-  const std::vector<int> next = {pa.back(), pb.back(), pa.back()};
+  mixed.seat(prefixes, states);
+
+  // Each row's batch-1 reference steps its whole prefix from position 0.
+  std::vector<InferenceSession> refs;
+  refs.reserve(rows.size());
+  for (const auto* r : rows) {
+    refs.emplace_back(model);
+    refs.back().reset(1);
+    refs.back().prime(*r);
+  }
+  const auto expect_rows_match = [&](const char* when) {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const auto want = refs[i].logits_row(0);
+      const auto got = mixed.logits_row(static_cast<Index>(i));
+      EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin()))
+          << "row " << i << " " << when;
+      EXPECT_EQ(mixed.position(static_cast<Index>(i)), refs[i].position(0))
+          << "row " << i << " " << when;
+    }
+  };
+  expect_rows_match("after seat");
+
+  // Row 1 sits one step out: it keeps its position and logits while every
+  // live row advances exactly like its reference.
+  std::vector<int> next;
+  for (const auto* r : rows) next.push_back(r->back());
+  next[1] = InferenceSession::kIdle;
   mixed.step(next);
-  sa.step(std::vector<int>{pa.back()});
-  sb.step(std::vector<int>{pb.back()});
-  const auto wa = sa.logits_row(0);
-  const auto wb = sb.logits_row(0);
-  EXPECT_TRUE(std::equal(wa.begin(), wa.end(), mixed.logits_row(0).begin()));
-  EXPECT_TRUE(std::equal(wb.begin(), wb.end(), mixed.logits_row(1).begin()));
-  EXPECT_TRUE(std::equal(wa.begin(), wa.end(), mixed.logits_row(2).begin()));
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (next[i] == InferenceSession::kIdle) continue;
+    refs[i].step(std::span<const int>(&next[i], 1));
+  }
+  expect_rows_match("after a step with row 1 idle");
+
+  // All rows live again, row 1 one position behind the others.
+  for (std::size_t i = 0; i < rows.size(); ++i) next[i] = rows[i]->front();
+  mixed.step(next);
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    refs[i].step(std::span<const int>(&next[i], 1));
+  expect_rows_match("after a dense step");
 }
 
 /// Pattern mix exercising divisions at several depths and leaf sizes.

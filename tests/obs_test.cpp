@@ -12,6 +12,7 @@
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
+#include "test_util.h"
 
 namespace ppg::obs {
 namespace {
@@ -252,8 +253,8 @@ TEST(Timing, ScopedLatencyRespectsToggle) {
 }
 
 TEST(Trace, SpanNestingOrderAndContainment) {
-  const auto path = std::filesystem::temp_directory_path() /
-                    "ppg_obs_trace_test.json";
+  const testing::TempDir dir;
+  const auto path = dir.path() / "trace.json";
   ASSERT_TRUE(trace_start(path.string()));
   {
     Span outer("outer-span", "test");
@@ -298,8 +299,6 @@ TEST(Trace, SpanNestingOrderAndContainment) {
   ASSERT_GE(outer_ts, 0);
   EXPECT_GE(inner_ts, outer_ts);
   EXPECT_LE(inner_ts + inner_dur, outer_ts + outer_dur);
-
-  std::filesystem::remove(path);
 }
 
 TEST(Trace, DisabledSpansCostNothingAndEmitNothing) {
@@ -340,15 +339,14 @@ TEST(RunReport, WritesFileAndStageTimerRecords) {
     StageTimer stage("stage-a", report);
     stage.set_items(10.0);
   }
-  const auto path = std::filesystem::temp_directory_path() /
-                    "ppg_obs_report_test.json";
+  const testing::TempDir dir;
+  const auto path = dir.path() / "report.json";
   ASSERT_TRUE(report.write(path.string(), &r));
   std::ifstream in(path);
   std::ostringstream buf;
   buf << in.rdbuf();
   EXPECT_TRUE(validate_json(buf.str()));
   EXPECT_NE(buf.str().find("\"stage-a\""), std::string::npos);
-  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -114,8 +114,8 @@ TEST(PagPassGPT, FreeGenerationProducesDecodablePasswords) {
 
 TEST(PagPassGPT, SaveLoadRoundTrip) {
   const auto& m = shared_model();
-  const auto path =
-      (std::filesystem::temp_directory_path() / "pag_test.ckpt").string();
+  const testing::TempDir dir;
+  const auto path = dir.file("pag.ckpt");
   m.save(path);
   PagPassGPT loaded(gpt::Config::small(), 999);
   loaded.load(path);
@@ -126,8 +126,6 @@ TEST(PagPassGPT, SaveLoadRoundTrip) {
   const auto pattern = *pcfg::parse_pattern("L4N2");
   EXPECT_EQ(m.generate_with_pattern(pattern, 10, r1, {}, true),
             loaded.generate_with_pattern(pattern, 10, r2, {}, true));
-  std::filesystem::remove(path);
-  std::filesystem::remove(path + ".patterns");
 }
 
 TEST(PagPassGPT, LogProbScoresPasswords) {

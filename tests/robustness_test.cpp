@@ -8,6 +8,7 @@
 #include "gpt/infer.h"
 #include "gpt/model.h"
 #include "pcfg/pcfg_model.h"
+#include "test_util.h"
 #include "tokenizer/tokenizer.h"
 
 namespace ppg {
@@ -18,12 +19,11 @@ namespace fs = std::filesystem;
 class CheckpointCorruption : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = (fs::temp_directory_path() / "ppg_robust.ckpt").string();
     gpt::GptModel m(gpt::Config::tiny(), 1);
     m.save(path_);
   }
-  void TearDown() override { fs::remove(path_); }
-  std::string path_;
+  testing::TempDir dir_;
+  const std::string path_ = dir_.file("robust.ckpt");
 };
 
 TEST_F(CheckpointCorruption, TruncatedFileRejected) {

@@ -24,6 +24,7 @@
 
 #include "core/masks.h"
 #include "gpt/infer.h"
+#include "gpt/kv_cache.h"
 #include "pcfg/pattern.h"
 #include "tokenizer/tokenizer.h"
 
@@ -195,6 +196,32 @@ TEST_F(SearchTest, ResumeSnapshotDoesNotChangeOutput) {
   EXPECT_EQ(warm.stats().prefill_tokens, 0u);
   EXPECT_EQ(cold.stats().prefill_tokens, 1u);
   EXPECT_EQ(warm.stats().prefill_saved, cold.stats().prefill_saved + 1);
+}
+
+// The process-wide prefill ledger (kv_cache.prefill_tokens/_saved, which
+// the benchmark's gpt.prefill_frac and gpt.kv_prefill_saved_frac read)
+// must book exactly what stats() reports — cold, and under a budget that
+// evicts on every insert and so forces the re-derive path.
+TEST_F(SearchTest, GlobalPrefillLedgerMatchesStats) {
+  const std::vector<int> prefix =
+      Tokenizer::encode_generation_prefix(*pcfg::parse_pattern("L3N1"));
+  OrderedOptions tiny;
+  tiny.max_nodes = 4;
+  tiny.cache_bytes = 1;
+  for (const OrderedOptions& opts : {OrderedOptions{}, tiny}) {
+    auto& ledger = gpt::kv_cache_metrics();
+    const auto tokens_before = ledger.prefill_tokens.value();
+    const auto saved_before = ledger.prefill_saved.value();
+    OrderedEnumerator e(*model_, prefix, opts, ab_mask(kMaxLen));
+    drain(e);
+    EXPECT_GT(e.stats().prefill_tokens, 0u);
+    EXPECT_EQ(ledger.prefill_tokens.value() - tokens_before,
+              e.stats().prefill_tokens)
+        << "cache_bytes " << opts.cache_bytes;
+    EXPECT_EQ(ledger.prefill_saved.value() - saved_before,
+              e.stats().prefill_saved)
+        << "cache_bytes " << opts.cache_bytes;
+  }
 }
 
 TEST_F(SearchTest, PatternMaskEnumeratesWholePatternSpace) {

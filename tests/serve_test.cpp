@@ -117,6 +117,17 @@ TEST_F(ServeTest, ResultsIndependentOfBatchGeometry) {
     std::vector<std::future<Response>> futs;
     for (int i = 0; i < 6; ++i)
       futs.push_back(svc.submit(pattern_req("L6N2", 7, 100 + i)));
+    // Prefixes of other lengths in the same run: batches hold ragged rows.
+    for (int i = 0; i < 3; ++i) {
+      futs.push_back(svc.submit(pattern_req("L4", 5, 200 + i)));
+      Request pre;
+      pre.kind = RequestKind::kPrefix;
+      pre.pattern = "L4N2";
+      pre.prefix = "Ab";
+      pre.count = 5;
+      pre.seed = 300 + i;
+      futs.push_back(svc.submit(std::move(pre)));
+    }
     std::vector<std::vector<std::string>> out;
     for (auto& f : futs) {
       Response r = f.get();

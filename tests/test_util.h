@@ -1,10 +1,16 @@
-// Shared helpers for the test suite: finite-difference gradient checking
-// and tiny fixture data builders.
+// Shared helpers for the test suite: finite-difference gradient checking,
+// tiny fixture data builders and per-test scratch directories.
 #pragma once
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <functional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -73,5 +79,41 @@ inline std::vector<std::string> tiny_password_corpus() {
       "mint07",   "sage08",   "ruby09",   "opal10",
   };
 }
+
+/// A fresh scratch directory unique to this process and test case,
+/// removed with its contents on destruction. gtest_discover_tests runs
+/// every case as its own ctest process, so fixed temp names collide under
+/// `ctest -j` (and between build trees sharing a host); use this instead.
+class TempDir {
+ public:
+  TempDir() {
+    static std::atomic<int> serial{0};
+    std::string name = "ppg_" + std::to_string(::getpid()) + "_" +
+                       std::to_string(serial++);
+    if (const auto* info =
+            ::testing::UnitTest::GetInstance()->current_test_info()) {
+      name += std::string("_") + info->test_suite_name() + "." + info->name();
+      std::replace(name.begin(), name.end(), '/', '_');  // parameterised
+    }
+    path_ = std::filesystem::temp_directory_path() / name;
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  const std::filesystem::path& path() const noexcept { return path_; }
+  /// Path of `name` inside the directory.
+  std::string file(const std::string& name) const {
+    return (path_ / name).string();
+  }
+
+ private:
+  std::filesystem::path path_;
+};
 
 }  // namespace ppg::testing
