@@ -133,6 +133,31 @@ void BM_InferenceDecodeInt8(benchmark::State& state) {
 }
 BENCHMARK(BM_InferenceDecodeInt8)->Arg(1)->Arg(16)->Arg(128);
 
+/// The row ops run the scalar kernels whatever backend is active.
+void BM_LayerNormRows(benchmark::State& state) {
+  const nn::Index rows = 512, d = 64;
+  std::vector<float> x(rows * d, 0.5f), gain(d, 1.f), bias(d, 0.f),
+      y(rows * d);
+  for (auto _ : state) {
+    nn::kernels::layernorm_rows(rows, d, x.data(), gain.data(), bias.data(),
+                                y.data());
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+BENCHMARK(BM_LayerNormRows);
+
+void BM_SoftmaxRows(benchmark::State& state) {
+  const nn::Index rows = 512, d = 96;
+  std::vector<float> x(rows * d, 0.25f), y(rows * d);
+  for (auto _ : state) {
+    nn::kernels::softmax_rows(rows, d, x.data(), y.data());
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+BENCHMARK(BM_SoftmaxRows);
+
 /// Per-backend variants, registered at startup for whatever tables this
 /// machine can run (scalar always; avx2/avx512 when the CPU has them).
 /// Names carry the backend (BM_GemmNN_avx2/128) so the perf trajectory
@@ -156,32 +181,6 @@ void register_backend_benchmarks() {
         ->Arg(64)
         ->Arg(128)
         ->Arg(256);
-    benchmark::RegisterBenchmark(
-        ("BM_LayerNormRows_" + suffix).c_str(),
-        [kind](benchmark::State& state) {
-          nn::ScopedBackend forced(kind);
-          const nn::Index rows = 512, d = 64;
-          std::vector<float> x(rows * d, 0.5f), gain(d, 1.f), bias(d, 0.f),
-              y(rows * d);
-          for (auto _ : state) {
-            nn::kernels::layernorm_rows(rows, d, x.data(), gain.data(),
-                                        bias.data(), y.data());
-            benchmark::DoNotOptimize(y.data());
-          }
-          state.SetItemsProcessed(state.iterations() * rows);
-        });
-    benchmark::RegisterBenchmark(
-        ("BM_SoftmaxRows_" + suffix).c_str(),
-        [kind](benchmark::State& state) {
-          nn::ScopedBackend forced(kind);
-          const nn::Index rows = 512, d = 96;
-          std::vector<float> x(rows * d, 0.25f), y(rows * d);
-          for (auto _ : state) {
-            nn::kernels::softmax_rows(rows, d, x.data(), y.data());
-            benchmark::DoNotOptimize(y.data());
-          }
-          state.SetItemsProcessed(state.iterations() * rows);
-        });
     // The full int8 serving step for one matrix: quantize activations,
     // int8 GEMM, dequant+bias. items/sec is MACs*2, directly comparable
     // to the fp32 BM_GemmNN_<backend> rows.

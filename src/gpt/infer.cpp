@@ -40,7 +40,10 @@ inline float gelu1(float v) {
 }  // namespace
 
 InferenceSession::InferenceSession(const GptModel& model, Precision precision)
-    : model_(&model), precision_(precision) {
+    : model_(&model),
+      precision_(precision),
+      kcache_(static_cast<std::size_t>(model.config().n_layers)),
+      vcache_(static_cast<std::size_t>(model.config().n_layers)) {
   if (precision_ == Precision::kInt8) qweights_ = &model.quantized();
 }
 
@@ -62,32 +65,36 @@ void InferenceSession::project(Index m, Index n, Index k, const float* x,
 void InferenceSession::reset(Index batch) {
   if (batch <= 0)
     throw std::invalid_argument("InferenceSession::reset: batch must be > 0");
+  resize(batch);
+  // Stale buffer contents are harmless: a row's KV cache is only read
+  // below its position and its logits only once it has stepped.
+  pos_.assign(static_cast<std::size_t>(batch), 0);
+}
+
+void InferenceSession::resize(Index batch) {
   const Config& c = model_->config();
   batch_ = batch;
-  pos_.assign(static_cast<std::size_t>(batch), 0);
-  // Every buffer is indexed with a per-row stride, so a batch that fits the
-  // existing allocation reuses it as-is: a row's KV cache is only read at
-  // positions below its own position, all written since this reset, and
-  // its logits row only once it has stepped; stale rows >= batch_ are
-  // never touched.
+  pos_.resize(static_cast<std::size_t>(batch), 0);
   if (batch > capacity_) {
-    const std::size_t cache =
-        static_cast<std::size_t>(batch * c.context * c.d_model);
-    kcache_.assign(c.n_layers, std::vector<float>(cache, 0.f));
-    vcache_.assign(c.n_layers, std::vector<float>(cache, 0.f));
-    x_.assign(batch * c.d_model, 0.f);
-    h_.assign(batch * c.d_model, 0.f);
-    qkv_.assign(batch * 3 * c.d_model, 0.f);
-    att_.assign(batch * c.d_model, 0.f);
-    ff_.assign(batch * c.d_ff(), 0.f);
-    logits_.assign(batch * c.vocab, 0.f);
-    live_logits_.assign(batch * c.vocab, 0.f);
+    // reserve() first so each buffer is sized exactly, never doubled.
+    const auto fit = [](auto& v, Index n) {
+      v.reserve(static_cast<std::size_t>(n));
+      v.resize(static_cast<std::size_t>(n));
+    };
+    for (auto& layer : kcache_) fit(layer, batch * c.context * c.d_model);
+    for (auto& layer : vcache_) fit(layer, batch * c.context * c.d_model);
+    fit(x_, batch * c.d_model);
+    fit(h_, batch * c.d_model);
+    fit(qkv_, batch * 3 * c.d_model);
+    fit(att_, batch * c.d_model);
+    fit(ff_, batch * c.d_ff());
+    fit(logits_, batch * c.vocab);
+    fit(live_logits_, batch * c.vocab);
     if (precision_ == Precision::kInt8) {
       // Widest activation the projections quantize is the d_ff-wide gelu
       // output feeding fc2; k is zero-padded per quant.h.
-      qx_.assign(
-          static_cast<std::size_t>(batch * nn::quant::padded_k(c.d_ff())), 0);
-      qs_.assign(static_cast<std::size_t>(batch), 0.f);
+      fit(qx_, batch * nn::quant::padded_k(c.d_ff()));
+      fit(qs_, batch);
     }
     scores_.resize(static_cast<std::size_t>(c.context));
     capacity_ = batch;
@@ -268,14 +275,20 @@ KvState InferenceSession::snapshot(Index row) const {
 
 InferenceSession::Prefill InferenceSession::seat(
     std::span<const std::span<const int>> prefixes,
-    std::span<const KvState* const> states) {
+    std::span<const KvState* const> states, std::span<const Index> rows) {
   const Config& c = model_->config();
   if (prefixes.empty())
     throw std::invalid_argument("InferenceSession::seat: empty batch");
   if (!states.empty() && states.size() != prefixes.size())
     throw std::invalid_argument("InferenceSession::seat: one state per row");
+  if (!rows.empty() && rows.size() != prefixes.size())
+    throw std::invalid_argument("InferenceSession::seat: one row per prefix");
   const Index n = static_cast<Index>(prefixes.size());
-  // Per row: positions restored from its snapshot.
+  // Per seated prefix: its session row, and positions restored from its
+  // snapshot.
+  std::vector<Index> at(rows.begin(), rows.end());
+  if (at.empty())
+    for (Index i = 0; i < n; ++i) at.push_back(i);
   std::vector<Index> depth(prefixes.size(), 0);
   for (Index i = 0; i < n; ++i) {
     const auto len = static_cast<Index>(prefixes[i].size());
@@ -296,40 +309,49 @@ InferenceSession::Prefill InferenceSession::seat(
       --di;
   }
   obs::ScopedLatency latency(InferMetrics::get().prime_us);
-  reset(n);
+  if (rows.empty())
+    reset(n);
+  else
+    resize(std::max(batch_, *std::max_element(at.begin(), at.end()) + 1));
+  std::vector<int> feed(static_cast<std::size_t>(batch_), kIdle);
+  for (const Index r : at) {
+    if (r < 0 || feed[static_cast<std::size_t>(r)] != kIdle)
+      throw std::invalid_argument("InferenceSession::seat: bad or repeated row");
+    feed[static_cast<std::size_t>(r)] = 0;
+  }
   const Index d = c.d_model;
   Prefill done;
   Index longest = 0;  ///< most positions any row still has to step
   for (Index i = 0; i < n; ++i) {
+    const Index r = at[static_cast<std::size_t>(i)];
     const Index di = depth[static_cast<std::size_t>(i)];
     const auto len = static_cast<Index>(prefixes[i].size());
     longest = std::max(longest, len - di);
     done.computed += static_cast<std::size_t>(len - di);
     done.restored += static_cast<std::size_t>(di);
+    pos_[static_cast<std::size_t>(r)] = di;
     if (di == 0) continue;
     const KvState& s = *states[i];
     for (Index l = 0; l < c.n_layers; ++l) {
       std::memcpy(kcache_[static_cast<std::size_t>(l)].data() +
-                      i * c.context * d,
+                      r * c.context * d,
                   s.k[static_cast<std::size_t>(l)].data(),
                   static_cast<std::size_t>(di * d) * sizeof(float));
       std::memcpy(vcache_[static_cast<std::size_t>(l)].data() +
-                      i * c.context * d,
+                      r * c.context * d,
                   s.v[static_cast<std::size_t>(l)].data(),
                   static_cast<std::size_t>(di * d) * sizeof(float));
     }
     if (di == len)
-      std::memcpy(logits_.data() + i * c.vocab, s.logits.data(),
+      std::memcpy(logits_.data() + r * c.vocab, s.logits.data(),
                   static_cast<std::size_t>(c.vocab) * sizeof(float));
-    pos_[static_cast<std::size_t>(i)] = di;
   }
   // Step the remainders from their own starts; a row whose prefix is done
-  // sits idle while longer ones finish.
-  std::vector<int> feed(prefixes.size());
+  // sits idle while longer ones finish, and so does every row not seated.
   for (Index t = 0; t < longest; ++t) {
     for (Index i = 0; i < n; ++i) {
       const Index p = depth[static_cast<std::size_t>(i)] + t;
-      feed[static_cast<std::size_t>(i)] =
+      feed[static_cast<std::size_t>(at[static_cast<std::size_t>(i)])] =
           p < static_cast<Index>(prefixes[i].size()) ? prefixes[i][p] : kIdle;
     }
     step(feed);

@@ -59,8 +59,8 @@ class InferenceSession {
 
   /// Starts `batch` fresh sequences at position 0. Buffers are reused when
   /// `batch` fits the largest batch this session has seen, so schedulers
-  /// whose tail batches shrink (D&C-GEN, the serve layer) pay no
-  /// reallocation; only a growing batch allocates.
+  /// whose tail batches shrink (D&C-GEN) pay no reallocation; only a
+  /// growing batch allocates.
   void reset(Index batch);
 
   /// Feeds one token per sequence (tokens.size() == batch()) and returns
@@ -76,19 +76,23 @@ class InferenceSession {
   /// broadcast across the batch.
   std::span<const float> prime(std::span<const int> prefix);
 
-  /// The session's one seating entry point: starts prefixes.size() fresh
-  /// rows and brings row i to the end of prefixes[i] (non-empty). Row i
-  /// restores its first min(states[i]->len, |prefixes[i]|) positions from
-  /// states[i] (null or an empty `states`: none), then steps the rest of
-  /// its prefix; each step feeds only the rows that still have prefix
-  /// left. Bitwise equivalent to stepping every prefix from position 0
-  /// (per-row float op order is batch invariant; see kv_cache.h). After
-  /// the call every logits_row() is valid; a row whose snapshot covers
-  /// its whole prefix gets the stored logits. Books the positions into the
-  /// kv_cache prefill ledger and returns them. Snapshots are only read
-  /// during the call.
+  /// The session's one seating entry point: starts session row rows[i]
+  /// afresh and brings it to the end of prefixes[i] (non-empty). An empty
+  /// `rows` first reset()s the session to prefixes.size() rows, row i
+  /// taking prefixes[i]; otherwise the distinct named rows join the
+  /// running session (growing it to cover them) and every other row keeps
+  /// its position, KV and logits bitwise. A seated row restores its first
+  /// min(states[i]->len, |prefixes[i]|) positions from states[i] (null or
+  /// an empty `states`: none), then steps the rest; each step feeds only
+  /// rows that still have prefix left. Bitwise equivalent to stepping
+  /// every prefix from position 0 (per-row float op order is batch
+  /// invariant; see kv_cache.h). Afterwards every seated row's logits_row()
+  /// is valid (a snapshot covering the whole prefix supplies them). Books
+  /// the positions into the kv_cache prefill ledger and returns them.
+  /// Snapshots are only read during the call.
   Prefill seat(std::span<const std::span<const int>> prefixes,
-               std::span<const KvState* const> states = {});
+               std::span<const KvState* const> states = {},
+               std::span<const Index> rows = {});
 
   /// Forks sequence `row` out of this session: copies its per-layer KV
   /// blocks for positions [0, position(row)) and its current logits row
@@ -115,6 +119,11 @@ class InferenceSession {
   void project(Index m, Index n, Index k, const float* x,
                const nn::Linear& lin, const nn::quant::QuantizedMatrix* qm,
                float* y);
+
+  /// Sets the batch to `batch` rows, growing the buffers to fit. Growth
+  /// keeps every existing row's KV cache and logits (rows have a fixed
+  /// stride, so new rows append); positions are the caller's business.
+  void resize(Index batch);
 
   const GptModel* model_;
   Precision precision_ = Precision::kFp32;

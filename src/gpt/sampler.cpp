@@ -57,44 +57,38 @@ int sample_from_logits(std::span<const float> logits, Rng& rng,
   return items.back().second;
 }
 
-std::vector<std::vector<int>> decode_rows(InferenceSession& session,
-                                          std::span<Rng* const> rngs,
-                                          std::span<const LogitMask* const> masks,
-                                          const SampleOptions& opts) {
-  const Index n = session.batch();
+std::size_t decode_step(InferenceSession& session, std::span<DecodeRow> rows,
+                        const SampleOptions& opts) {
   const Index context = session.config().context;
-  std::vector<std::vector<int>> generated(static_cast<std::size_t>(n));
-  std::vector<int> next(static_cast<std::size_t>(n), 0);
-  std::vector<float> row(static_cast<std::size_t>(session.config().vocab));
-  Index alive = n;
-  for (Index step = 0; alive > 0; ++step) {
-    for (Index i = 0; i < n; ++i) {
-      int& feed = next[static_cast<std::size_t>(i)];
-      if (feed == InferenceSession::kIdle) continue;  // retired
-      int tok_id = -1;  // a full context leaves nothing to sample
-      if (session.position(i) < context) {
-        const auto logits = session.logits_row(i);
-        std::copy(logits.begin(), logits.end(), row.begin());
-        const LogitMask* mask = masks[static_cast<std::size_t>(i)];
-        if (mask != nullptr && *mask) (*mask)(step, row);
-        tok_id =
-            sample_from_logits(row, *rngs[static_cast<std::size_t>(i)], opts);
-      }
-      // A fully masked row (-1) finishes invalid; decoding rejects it.
-      if (tok_id >= 0) generated[static_cast<std::size_t>(i)].push_back(tok_id);
-      // A row retires on <EOS>, or when its token would fill the context
-      // (no position would be left to sample the next one from).
-      if (tok_id < 0 || tok_id == tok::Tokenizer::kEos ||
-          session.position(i) + 1 >= context) {
-        feed = InferenceSession::kIdle;
-        --alive;
-      } else {
-        feed = tok_id;
-      }
+  std::vector<int> feed(rows.size(), InferenceSession::kIdle);
+  std::vector<float> logits(static_cast<std::size_t>(session.config().vocab));
+  std::size_t alive = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    DecodeRow& row = rows[i];
+    if (!row.live) continue;
+    const auto r = static_cast<Index>(i);
+    int tok_id = -1;  // a full context leaves nothing to sample
+    if (session.position(r) < context) {
+      const auto src = session.logits_row(r);
+      std::copy(src.begin(), src.end(), logits.begin());
+      if (row.mask != nullptr && *row.mask)
+        (*row.mask)(static_cast<Index>(row.tokens.size()), logits);
+      tok_id = sample_from_logits(logits, *row.rng, opts);
     }
-    if (alive > 0) session.step(next);
+    // A fully masked row (-1) finishes invalid; decoding rejects it.
+    if (tok_id >= 0) row.tokens.push_back(tok_id);
+    // A row retires on <EOS>, or when its token would fill the context
+    // (no position would be left to sample the next one from).
+    if (tok_id < 0 || tok_id == tok::Tokenizer::kEos ||
+        session.position(r) + 1 >= context) {
+      row.live = false;
+    } else {
+      feed[i] = tok_id;
+      ++alive;
+    }
   }
-  return generated;
+  if (alive > 0) session.step(feed);
+  return alive;
 }
 
 std::vector<std::string> sample_passwords(const GptModel& model,
@@ -122,12 +116,11 @@ std::vector<std::string> sample_passwords(const GptModel& model,
     local.prefill_tokens += prefill.computed;
     local.prefill_saved += prefill.restored;
     // Every row draws from the one caller Rng, in row order.
-    const std::vector<Rng*> rngs(n, &rng);
-    const std::vector<const LogitMask*> masks(n, &mask);
-    const auto generated = decode_rows(session, rngs, masks, opts);
+    std::vector<DecodeRow> rows(n, DecodeRow{&rng, &mask, {}, true});
+    while (decode_step(session, rows, opts) > 0) continue;
     for (std::size_t i = 0; i < n && out.size() < count; ++i) {
       std::vector<int> full(prefix.begin(), prefix.end());
-      full.insert(full.end(), generated[i].begin(), generated[i].end());
+      full.insert(full.end(), rows[i].tokens.begin(), rows[i].tokens.end());
       const auto pw = tok::Tokenizer::decode_password(full);
       if (pw.has_value() && !pw->empty())
         out.push_back(*pw);

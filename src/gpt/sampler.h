@@ -72,18 +72,25 @@ std::vector<std::string> sample_passwords(const GptModel& model,
                                           SampleStats* stats = nullptr,
                                           const KvState* resume = nullptr);
 
-/// The decode loop shared by every sampling caller. Decodes each row of a
-/// seated session (see InferenceSession::seat) until it samples <EOS>, is
-/// fully masked, or reaches the end of the context: step by step, row by
-/// row in row order, it masks the row's logits with masks[i] (null or
-/// empty = none), samples with rngs[i], and retires the row or feeds it
-/// the token. Retired rows sit idle. Rows may share one Rng, which then
-/// draws in row order within each step. Returns each row's generated
-/// tokens, with the <EOS> when one was sampled.
-std::vector<std::vector<int>> decode_rows(InferenceSession& session,
-                                          std::span<Rng* const> rngs,
-                                          std::span<const LogitMask* const> masks,
-                                          const SampleOptions& opts);
+/// Decode state of one session row (see decode_step).
+struct DecodeRow {
+  Rng* rng = nullptr;               ///< draws the row's tokens; may be shared
+  const LogitMask* mask = nullptr;  ///< null or empty: no mask
+  std::vector<int> tokens;          ///< generated so far, <EOS> included
+  bool live = false;                ///< false: retired or free; sits idle
+};
+
+/// One step of the decode loop shared by every sampling caller. For each
+/// live row, in row order, it masks a copy of the row's logits with
+/// mask(tokens.size(), ...), samples with rng, appends the token, and
+/// retires the row (live = false) when it sampled <EOS>, was fully masked
+/// (nothing appended), or would fill the context. It then steps the
+/// session once, feeding every row still live its new token; all other
+/// rows sit idle. Rows sharing one Rng draw in row order. Live rows must
+/// have valid logits (seated, see InferenceSession::seat), and
+/// rows.size() == session.batch(). Returns the number of rows still live.
+std::size_t decode_step(InferenceSession& session, std::span<DecodeRow> rows,
+                        const SampleOptions& opts);
 
 /// Samples a token id from raw logits under the given options.
 int sample_from_logits(std::span<const float> logits, Rng& rng,

@@ -20,7 +20,6 @@ constexpr KernelBackend kScalarTable = {
     BackendKind::kScalar,   "scalar",
     kd::scalar::gemm_nn,    kd::scalar::gemm_nt,
     kd::scalar::gemm_tn,    kd::scalar::affine,
-    kd::scalar::layernorm_rows, kd::scalar::softmax_rows,
     kd::scalar::quantize_rows,  kd::scalar::qaffine,
 };
 
@@ -29,18 +28,16 @@ constexpr KernelBackend kAvx2Table = {
     BackendKind::kAvx2,   "avx2",
     kd::avx2::gemm_nn,    kd::avx2::gemm_nt,
     kd::avx2::gemm_tn,    kd::avx2::affine,
-    kd::avx2::layernorm_rows, kd::avx2::softmax_rows,
     kd::scalar::quantize_rows, kd::avx2::qaffine,
 };
 
-// gemm_nt / layernorm / softmax are reduction kernels: the AVX-512 table
-// borrows their AVX2 implementations so the canonical 8-lane geometry
-// never changes (kernels_impl.h).
+// gemm_nt is a reduction kernel: the AVX-512 table borrows its AVX2
+// implementation so the canonical 8-lane geometry never changes
+// (kernels_impl.h).
 constexpr KernelBackend kAvx512Table = {
     BackendKind::kAvx512, "avx512",
     kd::avx512::gemm_nn,  kd::avx2::gemm_nt,
     kd::avx512::gemm_tn,  kd::avx512::affine,
-    kd::avx2::layernorm_rows, kd::avx2::softmax_rows,
     kd::scalar::quantize_rows, kd::avx512::qaffine,
 };
 #endif

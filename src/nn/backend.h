@@ -1,6 +1,7 @@
 // Runtime-dispatched SIMD kernel backends (DESIGN.md §15).
 //
-// Every float kernel in nn/kernels.h routes through one KernelBackend
+// Every float kernel in nn/kernels.h except the scalar-only row ops
+// (layernorm_rows, softmax_rows) routes through one KernelBackend
 // function table. Three tables exist: a scalar oracle, an AVX2 table and
 // an AVX-512 table (x86-64 builds only; other targets get scalar alone).
 // The active table is resolved once, lazily: the PPG_NN_BACKEND
@@ -46,10 +47,6 @@ struct KernelBackend {
   // y[m,n] = x[m,k]·W[k,n] + bias[n] (no accumulate).
   void (*affine)(Index m, Index n, Index k, const float* x, const float* w,
                  const float* bias, float* y);
-  // Fused row ops.
-  void (*layernorm_rows)(Index rows, Index d, const float* x,
-                         const float* gain, const float* bias, float* y);
-  void (*softmax_rows)(Index rows, Index n, const float* x, float* y);
   // int8 path (per-row absmax, see nn/quant.h).
   void (*quantize_rows)(Index rows, Index k, Index k_pad, const float* x,
                         std::int8_t* q, float* scale);

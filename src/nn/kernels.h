@@ -4,7 +4,8 @@
 // Since the backend-dispatch refactor these are thin wrappers: argument
 // DCHECKs here, then one indirect call through the process-wide
 // KernelBackend table (backend.h) into explicitly vectorized scalar /
-// AVX2 / AVX-512 implementations (kernels_scalar.cpp & friends). All
+// AVX2 / AVX-512 implementations (kernels_scalar.cpp & friends). The row
+// ops layernorm_rows/softmax_rows call the scalar kernels directly. All
 // backends obey the accumulation contract in kernels_impl.h, so fp32
 // results are bitwise identical whichever table is active — callers can
 // treat the dispatch as invisible.
@@ -17,6 +18,7 @@
 
 #include "common/check.h"
 #include "nn/backend.h"
+#include "nn/kernels_impl.h"
 
 namespace ppg::nn::kernels {
 
@@ -80,7 +82,7 @@ inline void layernorm_rows(Index rows, Index d, const float* x,
              "layernorm_rows: null buffer");
   PPG_DCHECK((gain != nullptr && bias != nullptr) || d == 0,
              "layernorm_rows: null gain/bias");
-  active_backend().layernorm_rows(rows, d, x, gain, bias, y);
+  kernels_detail::scalar::layernorm_rows(rows, d, x, gain, bias, y);
 }
 
 /// y[r,n] = softmax(x[r,n]) per row (max-subtracted, eps-free).
@@ -88,7 +90,7 @@ inline void softmax_rows(Index rows, Index n, const float* x, float* y) {
   PPG_DCHECK(rows >= 0 && n >= 0, "softmax_rows: negative extent");
   PPG_DCHECK((x != nullptr && y != nullptr) || rows * n == 0,
              "softmax_rows: null buffer");
-  active_backend().softmax_rows(rows, n, x, y);
+  kernels_detail::scalar::softmax_rows(rows, n, x, y);
 }
 
 /// Per-row absmax int8 quantization of x[rows,k] into q[rows,k_pad]

@@ -10,8 +10,8 @@
 //    C-row memory traffic that bounds the unblocked form. The hot loop is
 //    branch-free: the contract has no data-dependent zero skips in
 //    gemm_nn/affine (a 4-way scalar compare per p costs ~2× throughput).
-//  * reductions keep ONE 8-lane ymm accumulator and fold it with the
-//    extract-hi/movehl/shuffle tree that dot8/sum8/sumsq8 spell out in
+//  * the gemm_nt reduction keeps ONE 8-lane ymm accumulator and folds it
+//    with the extract-hi/movehl/shuffle tree that dot8 spells out in
 //    scalar form; tails run scalar fmaf after the tree, as in dot8.
 //  * the int8 qaffine accumulates in int32 (exact: |q| ≤ 127 and
 //    k_pad ≤ 2^15 keep Σ far below 2^31), so any summation order works;
@@ -56,32 +56,6 @@ inline float dot8v(Index n, const float* x, const float* y) {
     acc = _mm256_fmadd_ps(_mm256_loadu_ps(x + j), _mm256_loadu_ps(y + j), acc);
   float s = reduce8(acc);
   for (; j < n; ++j) s = std::fmaf(x[j], y[j], s);
-  return s;
-}
-
-inline float sum8v(Index n, const float* x) {
-  __m256 acc = _mm256_setzero_ps();
-  Index j = 0;
-  for (; j + 8 <= n; j += 8)
-    acc = _mm256_add_ps(acc, _mm256_loadu_ps(x + j));
-  float s = reduce8(acc);
-  for (; j < n; ++j) s += x[j];
-  return s;
-}
-
-inline float sumsq8v(Index n, const float* x, float mean) {
-  const __m256 mv = _mm256_set1_ps(mean);
-  __m256 acc = _mm256_setzero_ps();
-  Index j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256 c = _mm256_sub_ps(_mm256_loadu_ps(x + j), mv);
-    acc = _mm256_fmadd_ps(c, c, acc);
-  }
-  float s = reduce8(acc);
-  for (; j < n; ++j) {
-    const float c = x[j] - mean;
-    s = std::fmaf(c, c, s);
-  }
   return s;
 }
 
@@ -270,48 +244,6 @@ void gemm_tn(Index m, Index n, Index k, const float* a, const float* b,
                             _mm256_loadu_ps(crow + j)));
       for (; j < n; ++j) crow[j] = std::fmaf(av, brow[j], crow[j]);
     }
-  }
-}
-
-void layernorm_rows(Index rows, Index d, const float* x, const float* gain,
-                    const float* bias, float* y) {
-  const float invd = 1.f / static_cast<float>(d);
-  for (Index i = 0; i < rows; ++i) {
-    const float* xr = x + i * d;
-    float* yr = y + i * d;
-    const float mean = sum8v(d, xr) * invd;
-    const float var = sumsq8v(d, xr, mean);
-    const float rs = 1.f / std::sqrt(var * invd + 1e-5f);
-    const __m256 mv = _mm256_set1_ps(mean);
-    const __m256 rv = _mm256_set1_ps(rs);
-    Index j = 0;
-    for (; j + 8 <= d; j += 8) {
-      const __m256 t =
-          _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(xr + j), mv), rv);
-      _mm256_storeu_ps(
-          yr + j,
-          _mm256_fmadd_ps(t, _mm256_loadu_ps(gain + j),
-                          _mm256_loadu_ps(bias + j)));
-    }
-    for (; j < d; ++j)
-      yr[j] = std::fmaf((xr[j] - mean) * rs, gain[j], bias[j]);
-  }
-}
-
-void softmax_rows(Index rows, Index n, const float* x, float* y) {
-  for (Index i = 0; i < rows; ++i) {
-    const float* xr = x + i * n;
-    float* yr = y + i * n;
-    float mx = xr[0];
-    for (Index j = 1; j < n; ++j) mx = std::max(mx, xr[j]);
-    // expf stays a scalar libm call in every backend (contract).
-    for (Index j = 0; j < n; ++j) yr[j] = std::exp(xr[j] - mx);
-    const float inv = 1.f / sum8v(n, yr);
-    const __m256 iv = _mm256_set1_ps(inv);
-    Index j = 0;
-    for (; j + 8 <= n; j += 8)
-      _mm256_storeu_ps(yr + j, _mm256_mul_ps(_mm256_loadu_ps(yr + j), iv));
-    for (; j < n; ++j) yr[j] *= inv;
   }
 }
 

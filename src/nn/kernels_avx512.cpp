@@ -2,10 +2,10 @@
 // gemm_tn, affine and the int8 qaffine — where widening the vector is
 // free of reordering hazards: each output element's fmadd chain keeps the
 // scalar order whatever the lane count, and int32 dot products are exact.
-// The reduction kernels (gemm_nt, layernorm_rows, softmax_rows) would
-// need 16 accumulation lanes, which breaks the canonical 8-lane contract
-// of kernels_impl.h, so the AVX-512 dispatch table borrows the AVX2
-// implementations for those instead (see backend.cpp).
+// The reduction kernel gemm_nt would need 16 accumulation lanes, which
+// breaks the canonical 8-lane contract of kernels_impl.h, so the AVX-512
+// dispatch table borrows the AVX2 implementation instead (see
+// backend.cpp).
 //
 // Compiled with -mavx512{f,bw,dq,vl} -mfma regardless of host; dispatched
 // only after cpuid confirms avx512f+bw (backend.cpp). Same FP flags as

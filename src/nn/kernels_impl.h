@@ -7,9 +7,8 @@
 //    (std::fmaf in the scalar backend — glibc's fmaf is correctly rounded
 //    even without hardware FMA — and vfmadd in the vector backends), so
 //    one madd produces identical bits on every backend.
-//  * Elementwise ("j-lane") kernels — gemm_nn, affine, gemm_tn and the
-//    layernorm/softmax normalization loops — fix a per-OUTPUT-element
-//    order: the initial value (0, C, or bias) followed by madds in
+//  * Elementwise ("j-lane") kernels — gemm_nn, affine, gemm_tn — fix a
+//    per-OUTPUT-element order: the initial value (0, C, or bias) followed by madds in
 //    ascending p. Vectorizing across outputs never reorders any single
 //    output's chain, so these match at any vector width by construction.
 //    gemm_nn/affine hot loops are BRANCH-FREE: no data-dependent zero
@@ -18,13 +17,17 @@
 //    gemm_tn keeps its av == 0.f row skip — rank-1 updates over sparse
 //    gradients are its reason to exist — and every backend replicates
 //    that one rule so the madd COUNT stays equal across tables.
-//  * Reductions (gemm_nt dots, softmax's Σexp, layernorm's mean/var) use
-//    dot8/sum8/sumsq8 below: eight accumulation lanes (lane t takes
-//    elements j ≡ t mod 8 of the first ⌊n/8⌋·8), combined by the fixed
-//    tree ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)) — exactly one ymm
-//    accumulator reduced by the extract-hi/movehl/shuffle sequence — then
-//    the tail folded in sequentially. The AVX-512 backend reuses the
-//    AVX2 reduction kernels rather than widening to sixteen lanes.
+//  * The one vectorized reduction, gemm_nt's dots, uses dot8 below: eight
+//    accumulation lanes (lane t takes elements j ≡ t mod 8 of the first
+//    ⌊n/8⌋·8), combined by the fixed tree ((l0+l4)+(l2+l6)) +
+//    ((l1+l5)+(l3+l7)) — exactly one ymm accumulator reduced by the
+//    extract-hi/movehl/shuffle sequence — then the tail folded in
+//    sequentially. The AVX-512 backend reuses the AVX2 gemm_nt rather
+//    than widening to sixteen lanes.
+//  * layernorm_rows and softmax_rows exist only in the scalar backend
+//    (their mean/var and Σexp reductions are sum8/sumsq8 below), and
+//    nn/kernels.h calls them directly whatever table is active: their
+//    AVX2/AVX-512 versions measured slower than the scalar loops.
 //  * expf stays a scalar libm call in every backend (the same symbol →
 //    the same bits); max reductions are order-free over finite floats.
 //
@@ -81,8 +84,9 @@ inline float sumsq8(Index n, const float* x, float mean) {
 }
 
 // Entry points each backend TU defines. The AVX-512 table deliberately
-// borrows the AVX2 reduction kernels (gemm_nt, layernorm_rows,
-// softmax_rows) so lane geometry never differs; quantize_rows has a
+// borrows the AVX2 reduction kernel (gemm_nt) so lane geometry never
+// differs; layernorm_rows and softmax_rows are scalar-only, called
+// straight from nn/kernels.h; quantize_rows has a
 // single scalar definition shared by every table (it is O(rows·k) next
 // to the O(rows·k·n) GEMMs, and sharing removes a whole class of
 // rounding-mode mismatches).
@@ -114,9 +118,6 @@ void gemm_tn(Index m, Index n, Index k, const float* a, const float* b,
              float* c);
 void affine(Index m, Index n, Index k, const float* x, const float* w,
             const float* bias, float* y);
-void layernorm_rows(Index rows, Index d, const float* x, const float* gain,
-                    const float* bias, float* y);
-void softmax_rows(Index rows, Index n, const float* x, float* y);
 void qaffine(Index m, Index n, Index k_pad, const std::int8_t* qx,
              const float* sx, const std::int8_t* qw, const float* sw,
              const float* bias, float* y);

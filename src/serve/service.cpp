@@ -1,8 +1,8 @@
 #include "serve/service.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
+#include <deque>
 #include <stdexcept>
 #include <utility>
 
@@ -85,14 +85,14 @@ const char* reject_name(Reject r) noexcept {
 }
 
 /// One admitted request's full lifecycle state. Owned jointly by the
-/// queue and by the batch rows currently in flight for it.
+/// queue and by the session rows currently in flight for it.
 struct GuessService::Pending {
   std::uint64_t id = 0;
   std::vector<int> prefix;  ///< token prefix shared by every row
   gpt::LogitMask mask;      ///< conformance mask (may be empty)
   std::size_t target = 0;
-  std::size_t unassigned = 0;    ///< rows not yet scheduled into a batch
-  std::size_t inflight = 0;      ///< rows currently inside a batch
+  std::size_t unassigned = 0;    ///< rows not yet admitted into a session
+  std::size_t inflight = 0;      ///< rows currently live in a session
   std::size_t retries_left = 0;  ///< invalid rows that may still be retried
   std::size_t next_row = 0;      ///< next rng-stream index
   std::uint64_t seed = 0;
@@ -103,8 +103,29 @@ struct GuessService::Pending {
   std::int64_t deadline_us = -1;  ///< obs timeline; -1 = none
   bool in_queue = false;
   bool done = false;
+  /// Sampled passwords keyed by row index; the response lists them in row
+  /// order, whatever order the rows finished in.
+  std::vector<std::pair<std::size_t, std::string>> found;
   Response resp;
   std::promise<Response> promise;
+};
+
+/// A worker's session and its row slots: slot i is session row i, and
+/// rows[i] its decode state. Slots are reused, so the session holds only
+/// as many rows as were ever live at once; the deque keeps each slot's
+/// Rng at a stable address for rows[i].rng.
+struct GuessService::Worker {
+  struct Slot {
+    std::shared_ptr<Pending> req;  ///< null: free
+    std::size_t row_index = 0;     ///< rng-stream index of this row
+    Rng rng;
+  };
+  explicit Worker(const gpt::GptModel& model, gpt::Precision precision)
+      : session(model, precision) {}
+  gpt::InferenceSession session;
+  std::deque<Slot> slots;
+  std::vector<gpt::DecodeRow> rows;
+  std::size_t live = 0;  ///< slots holding a request's row
 };
 
 GuessService::GuessService(const gpt::GptModel& model,
@@ -249,23 +270,13 @@ std::future<Response> GuessService::submit(Request req) {
   std::future<Response> fut = p->promise.get_future();
   {
     MutexLock lock(mu_);
-    if (!accepting_) {
-      m.rejected.inc();
-      p->resp.status = Status::kRejected;
-      p->resp.reject = Reject::kShuttingDown;
-      p->resp.error = "service is shutting down";
-      p->promise.set_value(std::move(p->resp));
-      return fut;
-    }
-    if (queue_.size() >= cfg_.max_queue) {
-      m.rejected.inc();
-      p->resp.status = Status::kRejected;
-      p->resp.reject = Reject::kQueueFull;
-      p->resp.error = "admission queue is full (" +
-                      std::to_string(cfg_.max_queue) + " requests)";
-      p->promise.set_value(std::move(p->resp));
-      return fut;
-    }
+    if (!accepting_)
+      return reject(std::move(req), Reject::kShuttingDown,
+                    "service is shutting down");
+    if (queue_.size() >= cfg_.max_queue)
+      return reject(std::move(req), Reject::kQueueFull,
+                    "admission queue is full (" +
+                        std::to_string(cfg_.max_queue) + " requests)");
     p->id = next_id_++;
     queue_.push_back(p);
     p->in_queue = true;
@@ -297,6 +308,8 @@ void GuessService::complete_locked(Pending& p, Status s) {
     m.rejected.inc();
   else
     m.completed.inc();
+  std::sort(p.found.begin(), p.found.end());
+  for (auto& [row, pw] : p.found) p.resp.passwords.push_back(std::move(pw));
   m.guesses.inc(p.resp.passwords.size());
   m.invalid.inc(p.resp.invalid);
   if (obs::timing_enabled()) m.request_ms.observe(p.resp.total_ms);
@@ -305,100 +318,114 @@ void GuessService::complete_locked(Pending& p, Status s) {
   p.promise.set_value(std::move(p.resp));
 }
 
-void GuessService::assemble_batch_locked(std::vector<RowRef>& rows) {
-  const std::int64_t now = obs::now_us();
-  // Expire or discard requests until the front is runnable.
-  while (!queue_.empty()) {
-    auto& front = queue_.front();
-    if (front->done) {
-      front->in_queue = false;
-      queue_.pop_front();
-      continue;
+bool GuessService::deliver_locked(Worker& w) {
+  bool requeued = false;
+  for (std::size_t i = 0; i < w.slots.size(); ++i) {
+    Worker::Slot& slot = w.slots[i];
+    if (!slot.req || w.rows[i].live) continue;
+    Pending& p = *slot.req;
+    PPG_DCHECK(p.inflight > 0, "delivering a row the scheduler never issued");
+    --p.inflight;
+    if (!p.done) {
+      std::vector<int> full = p.prefix;
+      full.insert(full.end(), w.rows[i].tokens.begin(),
+                  w.rows[i].tokens.end());
+      auto pw = Tokenizer::decode_password(full);
+      if (pw.has_value() && !pw->empty()) {
+        p.found.emplace_back(slot.row_index, std::move(*pw));
+      } else {
+        ++p.resp.invalid;
+        if (p.retries_left > 0 && !stopping_) {
+          --p.retries_left;
+          ++p.unassigned;
+          if (!p.in_queue) {
+            queue_.push_back(slot.req);
+            p.in_queue = true;
+            requeued = true;
+          }
+        }
+      }
+      if (p.unassigned == 0 && p.inflight == 0)
+        complete_locked(p, Status::kOk);
     }
-    if (front->deadline_us >= 0 && now >= front->deadline_us) {
-      complete_locked(*front, Status::kTimeout);
-      front->in_queue = false;
-      queue_.pop_front();
-      continue;
-    }
-    break;
+    slot.req.reset();
+    --w.live;
   }
-  if (queue_.empty() || rows.size() >= cfg_.max_batch) {
-    ServeMetrics::get().queue_depth.set(static_cast<double>(queue_.size()));
-    return;
-  }
+  return requeued;
+}
 
-  const auto take = [&](const std::shared_ptr<Pending>& p) {
-    PPG_DCHECK(p->unassigned > 0, "scheduling a request with no rows left");
-    const std::size_t k =
-        std::min(cfg_.max_batch - rows.size(), p->unassigned);
-    for (std::size_t i = 0; i < k; ++i) rows.push_back({p, p->next_row++});
-    p->unassigned -= k;
-    p->inflight += k;
+std::shared_ptr<GuessService::Pending> GuessService::admit_locked(
+    Worker& w, std::vector<std::size_t>& admitted) {
+  const std::int64_t now = obs::now_us();
+  // Without batching only an empty session admits, and only one request.
+  bool closed = !cfg_.batching && w.live > 0;
+  std::shared_ptr<Pending> ordered;
+  std::size_t free_slot = 0;  ///< no free slot below this index
+  for (auto it = queue_.begin(); it != queue_.end();) {
+    Pending& p = **it;
+    if (!p.done && p.deadline_us >= 0 && now >= p.deadline_us)
+      complete_locked(p, Status::kTimeout);
+    if (p.done) {
+      p.in_queue = false;
+      it = queue_.erase(it);
+      continue;
+    }
+    if (closed || w.live >= cfg_.max_batch) {
+      ++it;  // keep scanning: later requests may still expire
+      continue;
+    }
+    if (p.ordered) {
+      // An ordered enumeration owns its worker outright, so it waits for
+      // an empty session; until it is taken nothing behind it is admitted,
+      // which lets the live rows drain.
+      closed = true;
+      if (w.live > 0 || !admitted.empty()) {
+        ++it;
+        continue;
+      }
+      ordered = *it;
+      p.unassigned = 0;
+      p.inflight = 1;
+    }
+    if (p.first_schedule_us < 0) p.first_schedule_us = now;
+    for (; p.unassigned > 0 && w.live < cfg_.max_batch; --p.unassigned) {
+      while (free_slot < w.slots.size() && w.slots[free_slot].req) ++free_slot;
+      if (free_slot == w.slots.size()) {
+        w.slots.emplace_back();
+        w.rows.emplace_back();
+      }
+      Worker::Slot& slot = w.slots[free_slot];
+      slot.req = *it;
+      slot.row_index = p.next_row++;
+      admitted.push_back(free_slot);
+      ++p.inflight;
+      ++w.live;
+    }
     // Attempt accounting: rows ever scheduled never exceed the admission
     // budget of count * max_attempt_factor.
-    PPG_DCHECK(p->next_row <= p->target * static_cast<std::size_t>(
-                                              cfg_.max_attempt_factor),
+    PPG_DCHECK(p.next_row <= p.target * static_cast<std::size_t>(
+                                            cfg_.max_attempt_factor),
                "request %llu scheduled %zu rows, budget %zu",
-               static_cast<unsigned long long>(p->id), p->next_row,
-               p->target * static_cast<std::size_t>(cfg_.max_attempt_factor));
-    if (p->first_schedule_us < 0) p->first_schedule_us = now;
-  };
-
-  auto it = queue_.begin();
-  if (rows.empty()) {
-    // Fresh batch, led by the front request.
-    const bool ordered = (*it)->ordered;
-    take(*it);
-    it = (*it)->unassigned == 0 ? ((*it)->in_queue = false, queue_.erase(it))
-                                : std::next(it);
-    if (ordered) {
-      // An ordered enumeration owns its worker outright: it is not a
-      // sampling row, so nothing may coalesce with it (and the formation
-      // window is skipped — see worker_loop).
-      ServeMetrics::get().queue_depth.set(static_cast<double>(queue_.size()));
-      return;
-    }
-  }
-  if (cfg_.batching) {
-    // Coalesce further sampling requests, whatever their prefix lengths
-    // (the session seats ragged rows), until the batch is full.
-    while (it != queue_.end() && rows.size() < cfg_.max_batch) {
-      auto& p = *it;
-      if (p->done) {
-        p->in_queue = false;
-        it = queue_.erase(it);
-        continue;
-      }
-      if (p->deadline_us >= 0 && now >= p->deadline_us) {
-        complete_locked(*p, Status::kTimeout);
-        p->in_queue = false;
-        it = queue_.erase(it);
-        continue;
-      }
-      if (p->ordered) {
-        ++it;
-        continue;
-      }
-      take(p);
-      if (p->unassigned == 0) {
-        p->in_queue = false;
-        it = queue_.erase(it);
-      } else {
-        ++it;
-      }
+               static_cast<unsigned long long>(p.id), p.next_row,
+               p.target * static_cast<std::size_t>(cfg_.max_attempt_factor));
+    if (!cfg_.batching) closed = true;
+    if (p.unassigned == 0) {
+      p.in_queue = false;
+      it = queue_.erase(it);
+    } else {
+      ++it;
     }
   }
   ServeMetrics::get().queue_depth.set(static_cast<double>(queue_.size()));
+  return ordered;
 }
 
-void GuessService::execute_ordered(const RowRef& row) {
+void GuessService::execute_ordered(Pending& p) {
   obs::Span span("serve/ordered", "serve");
   ServeMetrics& m = ServeMetrics::get();
   m.batches.inc();
   m.rows.inc(1);
   if (obs::timing_enabled()) m.batch_rows.observe(1.0);
-  Pending& p = *row.req;
 
   search::OrderedOptions sopts;
   sopts.max_nodes = cfg_.ordered_max_nodes;
@@ -442,101 +469,56 @@ void GuessService::execute_ordered(const RowRef& row) {
   }
 }
 
-void GuessService::execute_batch(gpt::InferenceSession& session,
-                                 const std::vector<RowRef>& rows) {
-  if (rows.size() == 1 && rows[0].req->ordered) {
-    execute_ordered(rows[0]);
-    return;
-  }
+void GuessService::seat_admitted(Worker& w,
+                                 const std::vector<std::size_t>& admitted) {
   obs::Span span("serve/batch", "serve");
   ServeMetrics& m = ServeMetrics::get();
   m.batches.inc();
-  m.rows.inc(rows.size());
+  m.rows.inc(admitted.size());
   if (obs::timing_enabled())
-    m.batch_rows.observe(static_cast<double>(rows.size()));
+    m.batch_rows.observe(static_cast<double>(admitted.size()));
 
   // Seat every row at the end of its own request's prefix, resuming from
   // the request's deepest cached ancestor: an exact full-prefix hit skips
-  // that row's prefill entirely. Rows of one request are adjacent in the
-  // batch, so one lookup per request covers its whole row run. Handles
-  // stay live past the inserts below so pinned states cannot be evicted
-  // mid-use.
+  // that row's prefill entirely. A request's rows are admitted together,
+  // so one lookup per request covers its whole row run. Handles stay live
+  // past the inserts below so pinned states cannot be evicted mid-use.
+  // Slot requests and their prefixes are only written by this worker.
   std::vector<std::span<const int>> prefixes;
+  std::vector<gpt::Index> at;
   std::vector<gpt::KvTrieCache::Handle> handles;  ///< one per distinct request
   std::vector<const gpt::KvState*> states;        ///< one per row
-  prefixes.reserve(rows.size());
+  prefixes.reserve(admitted.size());
   const Pending* prev = nullptr;
-  for (const RowRef& r : rows) {
-    prefixes.emplace_back(r.req->prefix);
+  for (const std::size_t i : admitted) {
+    Worker::Slot& slot = w.slots[i];
+    const Pending& p = *slot.req;
+    prefixes.emplace_back(p.prefix);
+    at.push_back(static_cast<gpt::Index>(i));
+    // Per-row deterministic RNG streams: independent of admission timing,
+    // worker count, and batching mode.
+    slot.rng = Rng(p.seed, "serve.row/" + std::to_string(slot.row_index));
+    w.rows[i] = gpt::DecodeRow{&slot.rng, &p.mask, {}, true};
     if (!prefix_cache_) continue;
-    if (r.req.get() != prev) {
-      prev = r.req.get();
-      handles.push_back(prefix_cache_->find_longest(r.req->prefix));
+    if (&p != prev) {
+      prev = &p;
+      handles.push_back(prefix_cache_->find_longest(p.prefix));
     }
     states.push_back(handles.back().state());
   }
-  session.seat(prefixes, states);
-  if (prefix_cache_) {
-    // Memoise the post-prefix state once per request that missed it, so
-    // future requests with the same prefix resume here.
-    prev = nullptr;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Pending& p = *rows[i].req;
-      if (&p == prev) continue;
-      prev = &p;
-      if (states[i] == nullptr ||
-          states[i]->len < static_cast<gpt::Index>(p.prefix.size()))
-        prefix_cache_->insert(p.prefix,
-                              session.snapshot(static_cast<gpt::Index>(i)));
-    }
+  w.session.seat(prefixes, states, at);
+  if (!prefix_cache_) return;
+  // Memoise the post-prefix state once per request that missed it, so
+  // future requests with the same prefix resume here.
+  prev = nullptr;
+  for (std::size_t j = 0; j < admitted.size(); ++j) {
+    const Pending& p = *w.slots[admitted[j]].req;
+    if (&p == prev) continue;
+    prev = &p;
+    if (states[j] == nullptr ||
+        states[j]->len < static_cast<gpt::Index>(p.prefix.size()))
+      prefix_cache_->insert(p.prefix, w.session.snapshot(at[j]));
   }
-
-  // Per-row deterministic RNG streams: independent of batch composition,
-  // worker count, and batching mode.
-  std::vector<Rng> rngs;
-  std::vector<Rng*> rng_ptrs;
-  std::vector<const gpt::LogitMask*> masks;
-  rngs.reserve(rows.size());
-  for (const RowRef& r : rows) {
-    rngs.emplace_back(r.req->seed,
-                      "serve.row/" + std::to_string(r.row_index));
-    rng_ptrs.push_back(&rngs.back());
-    masks.push_back(&r.req->mask);
-  }
-  const auto generated =
-      gpt::decode_rows(session, rng_ptrs, masks, cfg_.sample);
-
-  // Deliver rows and complete finished requests.
-  bool new_work = false;
-  {
-    MutexLock lock(mu_);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      Pending& p = *rows[i].req;
-      PPG_DCHECK(p.inflight > 0, "delivering a row the scheduler never issued");
-      --p.inflight;
-      if (p.done) continue;
-      std::vector<int> full = p.prefix;
-      full.insert(full.end(), generated[i].begin(), generated[i].end());
-      const auto pw = Tokenizer::decode_password(full);
-      if (pw.has_value() && !pw->empty()) {
-        p.resp.passwords.push_back(*pw);
-      } else {
-        ++p.resp.invalid;
-        if (p.retries_left > 0 && !stopping_) {
-          --p.retries_left;
-          ++p.unassigned;
-          if (!p.in_queue) {
-            queue_.push_back(rows[i].req);
-            p.in_queue = true;
-            new_work = true;
-          }
-        }
-      }
-      if (!p.done && p.unassigned == 0 && p.inflight == 0)
-        complete_locked(p, Status::kOk);
-    }
-  }
-  if (new_work) work_cv_.notify_one();
 }
 
 void GuessService::worker_loop(std::size_t index) {
@@ -545,37 +527,28 @@ void GuessService::worker_loop(std::size_t index) {
   // Sampled generation runs on the configured precision; ordered requests
   // never touch this session (execute_ordered builds its own fp32
   // enumerator — best-first bounds require the reference substrate).
-  gpt::InferenceSession session(model_, cfg_.sample.precision);
+  Worker w(model_, cfg_.sample.precision);
   for (;;) {
-    std::vector<RowRef> rows;
+    std::shared_ptr<Pending> ordered;
+    std::vector<std::size_t> admitted;
+    bool requeued = false;
     {
       MutexLock lock(mu_);
+      requeued = deliver_locked(w);
       for (;;) {
-        assemble_batch_locked(rows);
-        if (!rows.empty()) break;
+        ordered = admit_locked(w, admitted);
+        if (ordered || w.live > 0) break;
         if (draining_ && queue_.empty()) return;
         work_cv_.wait(lock);
       }
-      // Batch-formation window: hold a partial batch briefly so later
-      // arrivals join it instead of convoying behind a full
-      // generation pass. Every wake-up (new submit, retry, shutdown)
-      // tops the batch up; a full batch or the deadline ends the wait.
-      if (cfg_.batching && cfg_.batch_window_us > 0 &&
-          rows.size() < cfg_.max_batch && !draining_ &&
-          !rows[0].req->ordered) {
-        const auto until = std::chrono::steady_clock::now() +
-                           std::chrono::microseconds(cfg_.batch_window_us);
-        while (rows.size() < cfg_.max_batch && !draining_) {
-          if (work_cv_.wait_until(lock, until) == std::cv_status::timeout)
-            break;
-          assemble_batch_locked(rows);
-        }
-        assemble_batch_locked(rows);
-      }
     }
-    PPG_DCHECK(rows.size() <= cfg_.max_batch, "batch of %zu exceeds max %zu",
-               rows.size(), cfg_.max_batch);
-    execute_batch(session, rows);
+    if (requeued) work_cv_.notify_one();
+    if (ordered) {
+      execute_ordered(*ordered);
+      continue;
+    }
+    if (!admitted.empty()) seat_admitted(w, admitted);
+    gpt::decode_step(w.session, w.rows, cfg_.sample);
   }
 }
 
@@ -610,19 +583,14 @@ void GuessService::stop() {
     for (auto& p : queue_) {
       p->in_queue = false;
       if (p->done) continue;
+      p->unassigned = 0;
+      p->retries_left = 0;
       if (p->first_schedule_us < 0) {
-        p->unassigned = 0;
-        p->retries_left = 0;
         p->resp.reject = Reject::kShuttingDown;
         p->resp.error = "service stopped before the request was scheduled";
         complete_locked(*p, Status::kRejected);
       } else if (p->inflight == 0) {
-        p->unassigned = 0;
-        p->retries_left = 0;
         complete_locked(*p, Status::kOk);
-      } else {
-        p->unassigned = 0;
-        p->retries_left = 0;
       }
     }
     queue_.clear();

@@ -6,16 +6,18 @@
 //  * bounded admission queue with explicit backpressure — submit() never
 //    blocks and never grows without bound; a full queue (or a draining
 //    service) rejects immediately with a reason;
-//  * dynamic batching — worker threads coalesce pending sampling requests
-//    of any prefix length into single InferenceSession batches: the
-//    session seats each row at the end of its own prefix (ragged rows)
-//    and retires finished rows, so sixteen count-1 requests cost one
-//    model call, not sixteen;
-//  * per-worker sessions — each worker owns one InferenceSession whose
-//    buffers persist across batches (reset() reuse keeps shrinking tail
-//    batches allocation-free);
+//  * iteration-level batching — each worker thread owns one
+//    InferenceSession and runs it one decode step at a time. Before every
+//    step it admits queued sampling rows (FIFO, any prefix length) into
+//    free row slots and seats them at the end of their own prefixes;
+//    rows retire the step they finish and are delivered at once, freeing
+//    their slots. A request that arrives mid-generation joins the running
+//    session at the next step instead of waiting out a whole pass, and
+//    sixteen count-1 requests share one step, not sixteen;
+//  * per-worker sessions — a session's row slots are reused, so its
+//    buffers grow only to the most rows ever live at once on that worker;
 //  * deadline enforcement — a request whose deadline passed while queued
-//    completes with Status::kTimeout instead of occupying batch slots;
+//    completes with Status::kTimeout instead of occupying row slots;
 //  * graceful shutdown — shutdown() stops admission (late submits are
 //    rejected with Reject::kShuttingDown), drains every admitted request,
 //    and joins the workers; every submitted request resolves its future
@@ -27,18 +29,17 @@
 //    Responses are bitwise identical to a cold-cache run (see kv_cache.h).
 //
 // Results are deterministic in (model, request): row r of a request draws
-// from Rng(seed, "serve.row/r"), so the same request returns the same
-// passwords whatever the batch composition, worker count, or batching
-// mode. Password *order* within a response follows batch completion order
-// and is only deterministic with a single worker.
+// from Rng(seed, "serve.row/r") and a response lists its passwords in row
+// order, so the same request returns the same response whatever the
+// admission timing, worker count, or batching mode.
 //
 // Observability: queue-depth gauge, admit/reject/timeout/complete
-// counters, batch-occupancy and request-latency histograms in the global
-// obs registry ("serve.*"), plus one "serve/request" trace span per
-// completed request and a "serve/batch" span per model call.
+// counters, admission-round occupancy and request-latency histograms in
+// the global obs registry ("serve.*"), plus one "serve/request" trace
+// span per completed request and a "serve/batch" span per admission
+// round (the seating of the rows it admitted).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <future>
 #include <list>
@@ -122,18 +123,13 @@ struct ServiceConfig {
   std::size_t workers = 1;
   std::size_t max_queue = 256;  ///< admitted-but-unfinished request cap
   std::size_t max_count = 4096; ///< per-request count cap
-  std::size_t max_batch = 64;   ///< rows per model call
-  /// When false every model call serves exactly one request (the
-  /// comparison baseline for bench_serve_throughput).
+  std::size_t max_batch = 64;   ///< rows live at once in a worker's session
+  /// When false a worker admits a request only into an empty session, so
+  /// every model call serves exactly one request (the comparison baseline
+  /// for bench_serve_throughput).
   bool batching = true;
   /// Give up on a request after count*max_attempt_factor generation rows.
   int max_attempt_factor = 4;
-  /// Batch-formation window: a worker holding a partial batch waits up to
-  /// this long for more sampling arrivals before running it. Trades a little
-  /// head-of-line latency for occupancy — without it, a straggler that
-  /// misses a batch by a microsecond convoys behind a full generation
-  /// pass. 0 disables; ignored when batching is off.
-  std::int64_t batch_window_us = 2000;
   /// Sampling knobs for all requests (batch_size is ignored; the
   /// scheduler owns batch geometry). sample.precision selects the worker
   /// sessions' numeric substrate: kInt8 serves sampled guesses through
@@ -202,25 +198,30 @@ class GuessService {
 
  private:
   struct Pending;
-  struct RowRef {
-    std::shared_ptr<Pending> req;
-    std::size_t row_index;  ///< rng-stream index of this row
-  };
+  struct Worker;
 
   std::future<Response> reject(Request&& req, Reject why, std::string detail);
   void worker_loop(std::size_t worker_id);
-  /// Pops expired/finished requests and appends runnable rows to `rows`
-  /// (up to max_batch). An ordered request always runs alone; sampling
-  /// requests of any prefix length share a batch. Caller holds mu_.
-  void assemble_batch_locked(std::vector<RowRef>& rows) PPG_REQUIRES(mu_);
+  /// Hands every retired row of `w` to its request (retrying invalid rows
+  /// while the budget lasts) and frees its slot. Returns whether a request
+  /// went back on the queue. Caller holds mu_.
+  bool deliver_locked(Worker& w) PPG_REQUIRES(mu_);
+  /// One admission round: pops finished and expired requests, then admits
+  /// runnable rows FIFO into `w`'s free slots (up to max_batch live),
+  /// appending their slot indices to `admitted`. Returns an ordered
+  /// request to run instead; one is taken only by a worker with no live
+  /// rows, and while one heads the queue no sampling rows are admitted.
+  /// Caller holds mu_.
+  std::shared_ptr<Pending> admit_locked(Worker& w,
+                                        std::vector<std::size_t>& admitted)
+      PPG_REQUIRES(mu_);
   /// Completes `p` with `s` now. Caller holds mu_.
   void complete_locked(Pending& p, Status s) PPG_REQUIRES(mu_);
-  /// Runs one assembled batch on `session` and delivers its rows.
-  void execute_batch(gpt::InferenceSession& session,
-                     const std::vector<RowRef>& rows);
-  /// Runs one kOrdered request to completion (always a single-row batch;
-  /// ordered requests never coalesce with sampling rows).
-  void execute_ordered(const RowRef& row);
+  /// Seats the rows of one admission round in `w`'s session.
+  void seat_admitted(Worker& w, const std::vector<std::size_t>& admitted);
+  /// Runs one kOrdered request to completion (it never shares a session
+  /// with sampling rows).
+  void execute_ordered(Pending& p);
 
   const gpt::GptModel& model_;
   const pcfg::PatternDistribution& patterns_;

@@ -47,7 +47,7 @@ const Fixture& fixture() {
     const auto corpus = data::clean(data::generate_site(profile, 17));
     const auto split = data::split_712(corpus.passwords, 17);
     f->test = split.test;
-    const auto cache = std::filesystem::temp_directory_path() /
+    const auto cache = std::filesystem::temp_directory_path() /  // ppg-lint: allow(fixed-temp-path) fixture-model cache shared across test processes on purpose
                        "ppg_fixture_backende2e_v3.ckpt";
     try {
       f->pag.load(cache.string());

@@ -10,27 +10,14 @@
 #include <fstream>
 #include <string>
 
-namespace obs = ppg::obs;
-namespace fs = std::filesystem;
+#include "test_util.h"
 
+namespace obs = ppg::obs;
 namespace {
 
 class BenchTrackTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("bench_track_test_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  std::string path(const std::string& name) const {
-    return (dir_ / name).string();
-  }
+  std::string path(const std::string& name) const { return dir_.file(name); }
 
   static obs::BenchRecord sample(double scale = 1.0) {
     obs::BenchRecord rec;
@@ -46,7 +33,7 @@ class BenchTrackTest : public ::testing::Test {
     return rec;
   }
 
-  fs::path dir_;
+  const ppg::testing::TempDir dir_;
 };
 
 TEST_F(BenchTrackTest, JsonRoundTripPreservesEveryField) {
@@ -91,7 +78,7 @@ TEST_F(BenchTrackTest, FingerprintIgnoresVolatileKeysOnly) {
   // Volatile keys (output paths, cache location, RNG stream) do not shift
   // the fingerprint...
   auto noisy = base;
-  noisy["cache_dir"] = "/tmp/elsewhere";
+  noisy["cache_dir"] = "/tmp/elsewhere";  // ppg-lint: allow(fixed-temp-path) a config value, never written
   noisy["report"] = "out.json";
   noisy["track_dir"] = ".";
   noisy["fresh"] = "true";

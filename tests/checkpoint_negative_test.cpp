@@ -3,8 +3,6 @@
 // or mismatched config, oversized length fields — must surface as a clean
 // std::runtime_error naming the file and phase, never as UB or garbage
 // weights. The ASan+UBSan CI job runs these with full instrumentation.
-#include <unistd.h>
-
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +15,7 @@
 #include "common/durable_io.h"
 #include "common/serialize.h"
 #include "gpt/model.h"
+#include "test_util.h"
 
 namespace ppg {
 namespace {
@@ -24,22 +23,9 @@ namespace {
 using gpt::Config;
 using gpt::GptModel;
 
-namespace fs = std::filesystem;
-
 class CheckpointNegativeTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    // Unique per process and case: gtest_discover_tests runs cases as
-    // parallel ctest processes, which must not share a scratch directory.
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::temp_directory_path() /
-           ("ppg_ckpt_neg_" + std::to_string(::getpid()) + "_" +
-            info->name());
-    fs::create_directories(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  std::string path(const char* name) const { return (dir_ / name).string(); }
+  std::string path(const char* name) const { return dir_.file(name); }
 
   /// Writes raw bytes as a checkpoint file and returns its path.
   std::string write_file(const char* name, const std::string& bytes) const {
@@ -102,7 +88,7 @@ class CheckpointNegativeTest : public ::testing::Test {
     }
   }
 
-  fs::path dir_;
+  const testing::TempDir dir_;
 };
 
 TEST_F(CheckpointNegativeTest, EmptyFile) {

@@ -20,7 +20,7 @@ namespace {
 const PagPassGPT& shared_model() {
   static const PagPassGPT* model = [] {
     auto* m = new PagPassGPT(gpt::Config::tiny(), 177);
-    const auto cache = std::filesystem::temp_directory_path() /
+    const auto cache = std::filesystem::temp_directory_path() /  // ppg-lint: allow(fixed-temp-path) fixture-model cache shared across test processes on purpose
                        "ppg_fixture_dcgentest_v1.ckpt";
     try {
       m->load(cache.string());

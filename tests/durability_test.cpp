@@ -4,8 +4,6 @@
 // journal resume — all in-process via the `throw` failpoint action, so the
 // same scenarios the forked ppg_crashtest harness exercises with real
 // _exit() crashes also run under ASan/TSan (label: sanitize).
-#include <unistd.h>
-
 #include <array>
 #include <cstdint>
 #include <filesystem>
@@ -87,25 +85,9 @@ TEST_F(FailpointTest, DelayActionContinues) {
 
 class DurabilityTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    // gtest_discover_tests runs each case as its own ctest process, many in
-    // parallel — the directory must be unique per process or concurrent
-    // cases clobber each other's SetUp/TearDown.
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::temp_directory_path() /
-           ("ppg_durability_" + std::to_string(::getpid()) + "_" +
-            info->name());
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-  }
-  void TearDown() override {
-    failpoint::reset();
-    fs::remove_all(dir_);
-  }
+  void TearDown() override { failpoint::reset(); }
 
-  std::string path(const std::string& name) const {
-    return (dir_ / name).string();
-  }
+  std::string path(const std::string& name) const { return dir_.file(name); }
 
   /// Saves a small deterministic payload durably and returns its path.
   std::string save_sample(const std::string& name) {
@@ -141,7 +123,7 @@ class DurabilityTest : public ::testing::Test {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
-  fs::path dir_;
+  const testing::TempDir dir_;
 };
 
 TEST_F(DurabilityTest, Crc32KnownAnswer) {
@@ -272,12 +254,12 @@ TEST_F(DurabilityTest, ParallelSavesToDistinctPathsAllVerify) {
 // CheckpointManifest
 
 TEST_F(DurabilityTest, EmptyDirectoryHasNoGoodGeneration) {
-  durable::CheckpointManifest m((dir_ / "ckpt").string());
+  durable::CheckpointManifest m((dir_.path() / "ckpt").string());
   EXPECT_FALSE(m.latest_good().has_value());
 }
 
 TEST_F(DurabilityTest, CorruptManifestDegradesToEmptyNotGarbage) {
-  const std::string cdir = (dir_ / "ckpt").string();
+  const std::string cdir = (dir_.path() / "ckpt").string();
   fs::create_directories(cdir);
   spew(cdir + "/MANIFEST", "this is not a manifest");
   durable::CheckpointManifest m(cdir);
@@ -292,7 +274,7 @@ TEST_F(DurabilityTest, CorruptManifestDegradesToEmptyNotGarbage) {
 }
 
 TEST_F(DurabilityTest, LatestGoodFallsBackPastCorruptGeneration) {
-  durable::CheckpointManifest m((dir_ / "ckpt").string());
+  durable::CheckpointManifest m((dir_.path() / "ckpt").string());
   for (std::uint64_t g = 1; g <= 2; ++g) {
     const std::string name = "gen" + std::to_string(g) + ".bin";
     durable::atomic_save(m.file_path(name), [g](BinaryWriter& w) {
@@ -306,13 +288,13 @@ TEST_F(DurabilityTest, LatestGoodFallsBackPastCorruptGeneration) {
   spew(m.file_path("gen2.bin"), bytes);
   // A reader (fresh manifest instance, as a resuming process would build)
   // must fall back to generation 1, never hand over the corrupt one.
-  durable::CheckpointManifest reader((dir_ / "ckpt").string());
+  durable::CheckpointManifest reader((dir_.path() / "ckpt").string());
   ASSERT_TRUE(reader.latest_good().has_value());
   EXPECT_EQ(reader.latest_good()->generation, 1u);
 }
 
 TEST_F(DurabilityTest, PruneDropsOldGenerationsAndSweepsTmpDroppings) {
-  durable::CheckpointManifest m((dir_ / "ckpt").string());
+  durable::CheckpointManifest m((dir_.path() / "ckpt").string());
   for (std::uint64_t g = 1; g <= 3; ++g) {
     const std::string name = "gen" + std::to_string(g) + ".bin";
     durable::atomic_save(m.file_path(name), [g](BinaryWriter& w) {
@@ -385,7 +367,7 @@ TEST_F(TrainerResumeTest, InterruptedRunResumesBitwiseIdentical) {
 
   // Kill the run mid-training via the throw action (same site the crash
   // harness kills with _exit), then relaunch against the same directory.
-  const std::string cdir = (dir_ / "train_ckpt").string();
+  const std::string cdir = (dir_.path() / "train_ckpt").string();
   failpoint::activate("train.after_step", failpoint::Action::kThrow, 5);
   EXPECT_THROW(train_to_bytes(cdir), failpoint::Injected);
   failpoint::reset();
@@ -398,7 +380,7 @@ TEST_F(TrainerResumeTest, InterruptedRunResumesBitwiseIdentical) {
 
 TEST_F(TrainerResumeTest, CrashInsideCheckpointWriteAlsoResumes) {
   const std::string golden = train_to_bytes("");
-  const std::string cdir = (dir_ / "train_ckpt2").string();
+  const std::string cdir = (dir_.path() / "train_ckpt2").string();
   failpoint::activate("train.checkpoint.mid_write",
                       failpoint::Action::kThrow, 2);
   EXPECT_THROW(train_to_bytes(cdir), failpoint::Injected);
@@ -407,7 +389,7 @@ TEST_F(TrainerResumeTest, CrashInsideCheckpointWriteAlsoResumes) {
 }
 
 TEST_F(TrainerResumeTest, FingerprintMismatchRefusesToResume) {
-  const std::string cdir = (dir_ / "train_ckpt3").string();
+  const std::string cdir = (dir_.path() / "train_ckpt3").string();
   train_to_bytes(cdir);  // leaves a final checkpoint behind
   GptModel model(Config::tiny(), 11);
   TrainConfig cfg = train_config(cdir);
@@ -470,7 +452,7 @@ class DcgenJournalTest : public DurabilityTest {
 TEST_F(DcgenJournalTest, InterruptedRunResumesByteIdentical) {
   const auto golden = generate("");
 
-  const std::string jdir = (dir_ / "journal").string();
+  const std::string jdir = (dir_.path() / "journal").string();
   failpoint::activate("dcgen.leaf.done", failpoint::Action::kThrow, 2);
   EXPECT_THROW(generate(jdir), failpoint::Injected);
   failpoint::reset();
@@ -484,7 +466,7 @@ TEST_F(DcgenJournalTest, InterruptedRunResumesByteIdentical) {
 
 TEST_F(DcgenJournalTest, TornLedgerTailIsTruncatedNotTrusted) {
   const auto golden = generate("");
-  const std::string jdir = (dir_ / "journal_torn").string();
+  const std::string jdir = (dir_.path() / "journal_torn").string();
   failpoint::activate("dcgen.ledger.mid_append", failpoint::Action::kThrow, 3);
   EXPECT_THROW(generate(jdir), failpoint::Injected);
   failpoint::reset();
@@ -499,7 +481,7 @@ TEST_F(DcgenJournalTest, TornLedgerTailIsTruncatedNotTrusted) {
 }
 
 TEST_F(DcgenJournalTest, StaleJournalFromDifferentRunIsDiscarded) {
-  const std::string jdir = (dir_ / "journal_stale").string();
+  const std::string jdir = (dir_.path() / "journal_stale").string();
   generate(jdir);  // journal now fingerprinted for seed 55
   const auto golden56 = generate("", nullptr, 1, 56);
   core::DcGenStats stats;
@@ -514,7 +496,7 @@ TEST_F(DcgenJournalTest, ConcurrentLedgerAppendsStayConsistent) {
   // shared fd; TSan watches the mutex discipline, and the journal must
   // still describe a complete run (resuming it re-emits identical bytes).
   const auto golden = generate("");
-  const std::string jdir = (dir_ / "journal_mt").string();
+  const std::string jdir = (dir_.path() / "journal_mt").string();
   const auto parallel = generate(jdir, nullptr, 4);
   EXPECT_EQ(parallel, golden);
   core::DcGenStats stats;

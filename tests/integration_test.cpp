@@ -30,7 +30,7 @@ const Pipeline& shared_pipeline() {
     const auto corpus = data::clean(data::generate_site(profile, 37));
     pipe->split = data::split_712(corpus.passwords, 37);
     // Disk-cached fixtures: ctest runs each TEST in a fresh process.
-    const auto dir = std::filesystem::temp_directory_path();
+    const auto dir = std::filesystem::temp_directory_path();  // ppg-lint: allow(fixed-temp-path) fixture-model cache shared across test processes on purpose
     const auto pag_cache = dir / "ppg_fixture_integration_pag_v1.ckpt";
     const auto gpt_cache = dir / "ppg_fixture_integration_gpt_v1.ckpt";
     gpt::TrainConfig cfg;

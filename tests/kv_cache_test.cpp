@@ -307,8 +307,7 @@ TEST(KvSessionResume, ResumeRowsMixedStatesMatchPerRowReference) {
   const KvState snap_c = snap_at(pc, pc.size() - 1);
 
   // Rows resume from states at different depths (one from none at all).
-  const std::vector<const std::vector<int>*> rows = {&pa, &pb, &pc, &pa,
-                                                     &pb};
+  std::vector<const std::vector<int>*> rows = {&pa, &pb, &pc, &pa, &pb};
   const std::vector<const KvState*> states = {&snap_a, &snap_b, &snap_c,
                                               &snap_a, nullptr};
   std::vector<std::span<const int>> prefixes;
@@ -354,6 +353,51 @@ TEST(KvSessionResume, ResumeRowsMixedStatesMatchPerRowReference) {
   for (std::size_t i = 0; i < rows.size(); ++i)
     refs[i].step(std::span<const int>(&next[i], 1));
   expect_rows_match("after a dense step");
+
+  // Rows join the running session: seat() starts the named rows afresh
+  // (each against a new batch-1 reference) while every other row keeps
+  // its mid-decode position, KV and logits; then all rows step on.
+  const auto join = [&](const std::vector<Index>& at,
+                        const std::vector<const std::vector<int>*>& ps,
+                        const std::vector<const KvState*>& ss,
+                        const char* when) {
+    std::vector<Index> before;
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      before.push_back(mixed.position(static_cast<Index>(i)));
+    std::vector<std::span<const int>> joined;
+    for (const auto* p : ps) joined.emplace_back(*p);
+    mixed.seat(joined, ss, at);
+    for (std::size_t j = 0; j < at.size(); ++j) {
+      const auto r = static_cast<std::size_t>(at[j]);
+      if (r == rows.size()) {
+        rows.push_back(ps[j]);
+        refs.emplace_back(model);
+      } else {
+        rows[r] = ps[j];
+        refs[r] = InferenceSession(model);
+      }
+      refs[r].reset(1);
+      refs[r].prime(*ps[j]);
+    }
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      if (std::find(at.begin(), at.end(), static_cast<Index>(i)) != at.end())
+        continue;
+      EXPECT_EQ(mixed.position(static_cast<Index>(i)), before[i])
+          << "row " << i << " " << when;
+    }
+    expect_rows_match(when);
+    next.resize(rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) next[i] = rows[i]->back();
+    mixed.step(next);
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      refs[i].step(std::span<const int>(&next[i], 1));
+    expect_rows_match(when);
+  };
+  // Row 3 is re-seated with another prefix, resuming from a snapshot.
+  join({3}, {&pc}, {&snap_c}, "after row 3 joined mid-decode");
+  // Two rows past the end grow the session while five rows are live.
+  join({5, 6}, {&pb, &pa}, {nullptr, &snap_a}, "after rows grew the session");
+  EXPECT_EQ(mixed.batch(), 7);
 }
 
 /// Pattern mix exercising divisions at several depths and leaf sizes.

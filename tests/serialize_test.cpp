@@ -1,7 +1,5 @@
 #include "common/serialize.h"
 
-#include <unistd.h>
-
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +11,7 @@
 
 #include "common/durable_io.h"
 #include "gpt/model.h"
+#include "test_util.h"
 
 namespace ppg {
 namespace {
@@ -85,14 +84,10 @@ TEST(Serialize, ImplausibleLengthRejected) {
 class CorruptCheckpoint : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("ppg_ckpt_test_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-    path_ = (dir_ / "model.ckpt").string();
+    path_ = dir_.file("model.ckpt");
     gpt::GptModel m(gpt::Config::tiny(), 11);
     m.save(path_);
   }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   std::vector<char> read_bytes() const {
     std::ifstream in(path_, std::ios::binary);
@@ -138,7 +133,7 @@ class CorruptCheckpoint : public ::testing::Test {
     }
   }
 
-  std::filesystem::path dir_;
+  const testing::TempDir dir_;
   std::string path_;
 };
 
@@ -209,7 +204,7 @@ TEST_F(CorruptCheckpoint, ConfigMismatch) {
 
 TEST_F(CorruptCheckpoint, MissingFile) {
   gpt::GptModel fresh(gpt::Config::tiny(), 12);
-  EXPECT_THROW(fresh.load((dir_ / "nope.ckpt").string()), std::runtime_error);
+  EXPECT_THROW(fresh.load(dir_.file("nope.ckpt")), std::runtime_error);
 }
 
 TEST(Serialize, InterleavedHeterogeneousStream) {

@@ -108,25 +108,34 @@ TEST_F(ServeTest, PrefixRequestContinuesPrefix) {
 
 TEST_F(ServeTest, ResultsIndependentOfBatchGeometry) {
   // The same requests must yield identical responses whatever the batch
-  // size or batching mode: row r draws from Rng(seed, "serve.row/r").
-  const auto run = [&](std::size_t max_batch, bool batching) {
+  // size, batching mode, worker count or admission timing: row r draws
+  // from Rng(seed, "serve.row/r"), and a response lists rows in row order.
+  std::vector<Request> reqs;
+  for (int i = 0; i < 6; ++i) reqs.push_back(pattern_req("L6N2", 7, 100 + i));
+  // Prefixes of other lengths in the same run: batches hold ragged rows.
+  for (int i = 0; i < 3; ++i) {
+    reqs.push_back(pattern_req("L4", 5, 200 + i));
+    Request pre;
+    pre.kind = RequestKind::kPrefix;
+    pre.pattern = "L4N2";
+    pre.prefix = "Ab";
+    pre.count = 5;
+    pre.seed = 300 + i;
+    reqs.push_back(std::move(pre));
+  }
+  const auto run = [&](std::size_t max_batch, bool batching,
+                       std::size_t workers = 1, bool staggered = false) {
     ServiceConfig cfg;
     cfg.max_batch = max_batch;
     cfg.batching = batching;
+    cfg.workers = workers;
     GuessService svc(*model_, *patterns_, cfg);
     std::vector<std::future<Response>> futs;
-    for (int i = 0; i < 6; ++i)
-      futs.push_back(svc.submit(pattern_req("L6N2", 7, 100 + i)));
-    // Prefixes of other lengths in the same run: batches hold ragged rows.
-    for (int i = 0; i < 3; ++i) {
-      futs.push_back(svc.submit(pattern_req("L4", 5, 200 + i)));
-      Request pre;
-      pre.kind = RequestKind::kPrefix;
-      pre.pattern = "L4N2";
-      pre.prefix = "Ab";
-      pre.count = 5;
-      pre.seed = 300 + i;
-      futs.push_back(svc.submit(std::move(pre)));
+    for (const Request& r : reqs) {
+      // Staggered: the second half arrives once the first response is
+      // out, so its rows join a session whose rows are mid-decode.
+      if (staggered && futs.size() == reqs.size() / 2) futs.front().wait();
+      futs.push_back(svc.submit(r));
     }
     std::vector<std::vector<std::string>> out;
     for (auto& f : futs) {
@@ -139,8 +148,21 @@ TEST_F(ServeTest, ResultsIndependentOfBatchGeometry) {
   const auto small_batched = run(4, true);
   const auto large_batched = run(64, true);
   const auto unbatched = run(64, false);
+  const auto three_workers = run(4, true, 3);
+  const auto staggered = run(4, true, 1, true);
   EXPECT_EQ(small_batched, large_batched);
   EXPECT_EQ(small_batched, unbatched);
+  EXPECT_EQ(small_batched, three_workers);
+  EXPECT_EQ(small_batched, staggered);
+  // A row that joins mid-decode masks by its own generated-token count:
+  // every password still conforms to its own request.
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const auto segs = *pcfg::parse_pattern(reqs[i].pattern);
+    for (const auto& pw : staggered[i]) {
+      EXPECT_TRUE(pcfg::matches_pattern(pw, segs)) << pw;
+      EXPECT_EQ(pw.rfind(reqs[i].prefix, 0), 0u) << pw;
+    }
+  }
 }
 
 TEST_F(ServeTest, BadRequestsRejectImmediately) {

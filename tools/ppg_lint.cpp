@@ -85,6 +85,13 @@
 //                       the fleet's liveness story (DESIGN.md §16) depends
 //                       on every wait being either bounded or killable by
 //                       supervision (waive with a comment naming which).
+//   fixed-temp-path     under tests/, no temp_directory_path() and no
+//                       "/tmp/..." literal outside tests/test_util.h: ctest
+//                       runs every case as its own process, often several
+//                       build trees or CI legs per host, so a fixed temp
+//                       name collides; testing::TempDir gives each process
+//                       and case its own directory (waive a deliberately
+//                       shared path, e.g. a fixture-model cache, naming why).
 //
 // A finding on one specific line can be waived in place with a trailing
 //   // ppg-lint: allow(<rule-name>) <why>
@@ -93,7 +100,9 @@
 //
 // Matching is substring-with-left-word-boundary over comment- and
 // string-stripped source, so `srand(` does not fire `rand(` and prose in
-// comments never fires at all.
+// comments never fires at all. A needle that starts with a quote spells a
+// literal, so it is matched against source with only comments (and
+// escaped quotes) stripped.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -239,6 +248,15 @@ const std::vector<Rule> kRules = {
      {},
      {"Deadline", "idle_timeout_ms", "heartbeat_timeout_ms", "timeout_ms",
       "poll_timeout_ms"}},
+    {"fixed-temp-path",
+     {"temp_directory_path()", "\"/tmp/"},
+     "fixed temp path in a test collides with parallel ctest processes and "
+     "other build trees on the host — use testing::TempDir "
+     "(tests/test_util.h), or waive a deliberately shared path naming why",
+     {"tests/"},
+     {"tests/test_util.h"},
+     {},
+     {}},
     // Custom brace-depth pass (see scan_blocking_under_lock): `needles`
     // here are the blocking calls, not line-match needles.
     {"blocking-under-lock",
@@ -283,9 +301,11 @@ bool rule_applies(const Rule& r, const std::string& rel) {
   return true;
 }
 
-/// Replaces comments and string/char-literal contents with spaces, keeping
+/// Replaces comments and string/char-literal contents (with
+/// `keep_literals`, only their escape sequences) with spaces, keeping
 /// column positions stable. `in_block` carries /* */ state across lines.
-std::string strip_noncode(const std::string& line, bool& in_block) {
+std::string strip_noncode(const std::string& line, bool& in_block,
+                          bool keep_literals = false) {
   std::string out(line.size(), ' ');
   std::size_t i = 0;
   while (i < line.size()) {
@@ -314,6 +334,7 @@ std::string strip_noncode(const std::string& line, bool& in_block) {
           i += 2;
           continue;
         }
+        if (keep_literals) out[i] = line[i];
         if (line[i] == q) {
           out[i] = q;
           ++i;
@@ -565,12 +586,13 @@ void scan_file(const fs::path& abs, const std::string& rel,
   // Buffered scan: rules with a `near` adjacency requirement look up to
   // two lines around a match, so the whole file is read (and stripped)
   // before any rule runs.
-  std::vector<std::string> raws, codes;
+  std::vector<std::string> raws, codes, literals;
   {
     std::string raw;
-    bool in_block = false;
+    bool in_block = false, in_block_lit = false;
     while (std::getline(in, raw)) {
       codes.push_back(strip_noncode(raw, in_block));
+      literals.push_back(strip_noncode(raw, in_block_lit, true));
       raws.push_back(std::move(raw));
     }
   }
@@ -599,7 +621,8 @@ void scan_file(const fs::path& abs, const std::string& rel,
         }
     for (const Rule* r : line_rules) {
       for (const auto& needle : r->needles) {
-        if (!contains_word(code, needle)) continue;
+        const bool literal = needle.front() == '"';
+        if (!contains_word(literal ? literals[idx] : code, needle)) continue;
         if (!line_waives(raw, r->name) && !near_ok(*r, idx))
           findings.push_back({rel, lineno, r});
         break;
