@@ -62,8 +62,8 @@ struct DcGenConfig {
   /// are emitted (budget truncation), so they are part of the journal
   /// fingerprint.
   std::size_t ordered_max_nodes = std::size_t(1) << 16;
-  /// Ordered-leaf KV-trie byte budget (per leaf, not shared with the
-  /// run-level cache below).
+  /// Ordered-leaf KV-snapshot memory cap (OrderedOptions::cache_bytes; per
+  /// leaf, not shared with the run-level cache below); output unchanged.
   std::size_t ordered_cache_bytes = std::size_t(32) << 20;
   /// Per-leaf expansion budget (0 = unlimited). Best-first search under a
   /// near-uniform model can sweep nearly the whole pattern tree before

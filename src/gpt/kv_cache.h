@@ -1,13 +1,14 @@
 // Prefix-trie KV cache: reuse attention states across prefix-related
 // forward passes.
 //
-// Every consumer of InferenceSession — D&C-GEN's divider, its leaf
-// generations, ordered search, and the serve layer's request batches —
-// seats sessions at token prefixes that are *extensions of prefixes
+// The consumers of InferenceSession that share this store — D&C-GEN's
+// divider, its leaf generations, and the serve layer's request batches —
+// seat sessions at token prefixes that are *extensions of prefixes
 // already computed*:
 // a division task's prefix is its parent's plus one token, a leaf's prefix
 // is its parent division's plus one token, and repeated serve requests
-// share their whole `<BOS> pattern <SEP>` prefix. Stepping the full prefix
+// share their whole `<BOS> pattern <SEP>` prefix (ordered search only
+// seeds its root here; see search/ordered.h). Stepping the full prefix
 // again recomputes per-layer K/V blocks an ancestor already produced. This
 // store memoises them:
 //

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <utility>
 
 #include "common/check.h"
@@ -62,31 +63,12 @@ OrderedEnumerator::OrderedEnumerator(const gpt::GptModel& model,
       opts_(opts),
       mask_(std::move(mask)),
       resume_(resume),
-      cache_(opts.cache_bytes),
       session_(model) {
   PPG_CHECK(!prefix_.empty(), "ordered enumeration needs a non-empty prefix");
   PPG_CHECK(static_cast<Index>(prefix_.size()) < model.config().context,
             "prefix length %zu leaves no room in context %d", prefix_.size(),
             static_cast<int>(model.config().context));
   if (opts_.max_nodes == 0) opts_.max_nodes = 1;
-}
-
-void OrderedEnumerator::push_node(Node n) {
-  // push_children() batch-enforces budgets after each expansion, so the
-  // frontier overfills by at most one vocabulary of children between
-  // enforcements; the inline trim is a hard backstop should a future push
-  // site forget that contract (never fires today: kMaxOverfill > vocab).
-  constexpr std::size_t kMaxOverfill = 256;
-  frontier_.push_back(std::move(n));
-  std::push_heap(frontier_.begin(), frontier_.end(), worse);
-  if (frontier_.size() > opts_.max_nodes + kMaxOverfill) enforce_budgets();
-}
-
-OrderedEnumerator::Node OrderedEnumerator::pop_node() {
-  std::pop_heap(frontier_.begin(), frontier_.end(), worse);
-  Node n = std::move(frontier_.back());
-  frontier_.pop_back();
-  return n;
 }
 
 void OrderedEnumerator::seat(std::span<const int> prefix,
@@ -104,34 +86,30 @@ void OrderedEnumerator::expand_root() {
             static_cast<int>(resume_->len), prefix_.size());
   seat(prefix_, resume_);
   resume_ = nullptr;  // never needed again
-  cache_.insert(prefix_, session_.snapshot(0));
-  push_children(prefix_, 0.0, session_.logits_row(0));
+  push_children(prefix_, 0.0);
 }
 
 void OrderedEnumerator::expand(Node node) {
   obs::Span span("search/expand", "search");
   const auto& seq = node.seq;
-  const auto parent = std::span<const int>(seq).first(seq.size() - 1);
-  // Seat at the parent's end, from the node's pinned parent snapshot. When
-  // that was evicted before this node could pin it (tiny byte budgets),
-  // re-derive from the deepest surviving ancestor — bitwise identical by
-  // the kv_cache contract; seat() books the re-fed positions as prefill.
-  gpt::KvTrieCache::Handle pin =
-      node.parent ? std::move(node.parent) : cache_.find_longest(parent);
-  seat(parent, pin.state());
-  pin.release();
-  // The scoring step of seq.back(), paid by every expansion regardless of
-  // caching, is a plain step and not prefill.
+  // Seat at the parent's end from the snapshot the parent's expansion
+  // shared with its children; it covers the whole parent, so nothing is
+  // re-primed unless the byte budget left the node without one (seat()
+  // then books the re-fed positions as prefill). Dropping this node's
+  // hold frees the snapshot once no sibling still holds it.
+  seat(std::span<const int>(seq).first(seq.size() - 1), node.parent.get());
+  node.parent.reset();
+  // The scoring step of seq.back() is a plain step and not prefill.
   const int last = seq.back();
   session_.step(std::span<const int>(&last, 1));
   ++stats_.nodes_expanded;
   search_metrics().nodes_expanded.inc();
-  cache_.insert(seq, session_.snapshot(0));
-  push_children(seq, node.logp, session_.logits_row(0));
+  push_children(seq, node.logp);
 }
 
-void OrderedEnumerator::push_children(const std::vector<int>& seq, double logp,
-                                      std::span<const float> logits) {
+void OrderedEnumerator::push_children(const std::vector<int>& seq,
+                                      double logp) {
+  const auto logits = session_.logits_row(0);
   scratch_.assign(logits.begin(), logits.end());
   if (mask_) {
     const Index step = static_cast<Index>(seq.size() - prefix_.size());
@@ -140,6 +118,9 @@ void OrderedEnumerator::push_children(const std::vector<int>& seq, double logp,
   const std::vector<double> lps = masked_log_probs(scratch_);
   const Index context = model_->config().context;
   const Index child_len = static_cast<Index>(seq.size()) + 1;
+  // One snapshot per expansion, taken for the first non-terminal child and
+  // shared by all of them (null when it would exceed the byte budget).
+  std::optional<std::shared_ptr<const gpt::KvState>> snapshot;
   for (std::size_t t = 0; t < lps.size(); ++t) {
     if (lps[t] == kNegInf) continue;
     const double child_logp = logp + lps[t];
@@ -148,39 +129,39 @@ void OrderedEnumerator::push_children(const std::vector<int>& seq, double logp,
     // A non-terminal child at the context boundary can never be stepped
     // again nor emit <EOS>; a terminal child needs no further step.
     if (!terminal && child_len >= context) continue;
-    Node child;
-    child.logp = child_logp;
-    child.seq = seq;
+    if (!terminal && !snapshot) snapshot = hold(session_.snapshot(0));
+    Node child{child_logp, seq, terminal ? nullptr : *snapshot};
     child.seq.push_back(static_cast<int>(t));
-    // One pin per child; may miss when the insert above was immediately
-    // evicted (budget smaller than one state) — expand() falls back.
-    child.parent = cache_.find(seq);
-    push_node(std::move(child));
+    frontier_.insert(std::move(child));
   }
-  stats_.heap_peak = std::max(stats_.heap_peak, frontier_.size());
-  search_metrics().heap_peak.set(static_cast<double>(stats_.heap_peak));
   enforce_budgets();
 }
 
+std::shared_ptr<const gpt::KvState> OrderedEnumerator::hold(
+    gpt::KvState state) {
+  // Over the byte budget the children hold nothing and expand() re-primes
+  // them from scratch: the budget caps memory and never changes output.
+  const std::size_t bytes = state.bytes();
+  if (held_bytes_ + bytes > opts_.cache_bytes) return nullptr;
+  held_bytes_ += bytes;
+  return {new gpt::KvState(std::move(state)),
+          [this, bytes](const gpt::KvState* s) {
+            held_bytes_ -= bytes;
+            delete s;
+          }};
+}
+
 void OrderedEnumerator::enforce_budgets() {
-  if (frontier_.size() <= opts_.max_nodes &&
-      cache_.bytes() <= opts_.cache_bytes)
-    return;
-  // Best-first order; drop from the tail (the worst nodes). Releasing a
-  // dropped node's pin lets the trie's deferred LRU eviction reclaim its
-  // parent state once no sibling still pins it.
-  std::sort(frontier_.begin(), frontier_.end(),
-            [](const Node& a, const Node& b) { return worse(b, a); });
-  while (frontier_.size() > 1 && (frontier_.size() > opts_.max_nodes ||
-                                  cache_.bytes() > opts_.cache_bytes)) {
-    Node dropped = std::move(frontier_.back());
-    frontier_.pop_back();
+  stats_.heap_peak = std::max(stats_.heap_peak, frontier_.size());
+  search_metrics().heap_peak.set(static_cast<double>(stats_.heap_peak));
+  while (frontier_.size() > opts_.max_nodes) {
+    const auto worst = frontier_.begin();
     ++stats_.truncated;
     search_metrics().truncated.inc();
     stats_.truncated_log_prob =
-        std::max(stats_.truncated_log_prob, dropped.logp);
+        std::max(stats_.truncated_log_prob, worst->logp);
+    frontier_.erase(worst);
   }
-  std::make_heap(frontier_.begin(), frontier_.end(), worse);
 }
 
 std::optional<ScoredGuess> OrderedEnumerator::next() {
@@ -207,9 +188,9 @@ std::optional<ScoredGuess> OrderedEnumerator::next() {
       done_ = true;
       return std::nullopt;
     }
-    Node best = pop_node();
+    Node best =
+        std::move(frontier_.extract(std::prev(frontier_.end())).value());
     if (best.seq.back() == tok::Tokenizer::kEos) {
-      best.parent.release();
       auto pw = tok::Tokenizer::decode_password(best.seq);
       if (!pw.has_value() || pw->empty()) {
         ++stats_.invalid;

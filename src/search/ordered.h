@@ -2,27 +2,29 @@
 //
 // Sampling draws guesses i.i.d. from the model, so the k-th guess is only
 // as good as sampling luck and duplicate draws allow. This engine instead
-// *searches* the model's distribution: a max-heap frontier of partial
+// *searches* the model's distribution: an ordered frontier of partial
 // token sequences keyed by cumulative log-probability, expanded best-first.
 // Because extending a sequence can only lower its log-probability
 // (log-probs are <= 0), the frontier key is an admissible bound on every
 // completion below a node — so when an <EOS>-terminated node reaches the
-// top of the heap it is *provably* the most likely remaining guess, and
+// top of the frontier it is *provably* the most likely remaining guess, and
 // the enumerator emits guesses in exactly descending model probability
 // with no duplicates.
 //
 // Anytime contract: next() yields one complete guess per call, best-first.
 // Stopping early (by count, by min-logprob, by deadline) always leaves a
 // prefix of the ideal descending-probability ranking; truncation caused by
-// the heap/cache budgets is recorded as an admissible lower bound
+// the node budget is recorded as an admissible lower bound
 // (stats().truncated_log_prob) — guesses with log-prob at or below that
 // bound may be missing, anything above it is guaranteed complete.
 //
-// KV-cache integration: every frontier node pins (KvTrieCache::Handle) the
-// snapshot covering its sequence minus the last token, so expansion costs
-// one resume + one step — no prefix re-prime. Budget pressure is resolved
-// by dropping the *lowest-priority* frontier nodes, whose released pins
-// let the trie's LRU eviction reclaim bytes.
+// KV reuse: each expansion snapshots its session row once and shares that
+// snapshot (std::shared_ptr) with all of its non-terminal children, so a
+// child's expansion costs one resume + one step — no prefix re-prime. A
+// snapshot is freed when its last holder leaves the frontier. The byte
+// budget only caps memory: a snapshot that would exceed it is not kept,
+// and its children re-prime their prefix when expanded. The node budget
+// drops the *lowest-priority* frontier nodes.
 //
 // Determinism: single-threaded, no RNG. Ties in cumulative log-prob are
 // broken by lexicographically smaller token sequence, making the emission
@@ -32,7 +34,9 @@
 
 #include <cstddef>
 #include <limits>
+#include <memory>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -47,12 +51,13 @@ using gpt::Index;
 
 /// Search budgets and stop conditions.
 struct OrderedOptions {
-  /// Frontier cap: when the heap exceeds this, lowest-priority nodes are
-  /// dropped (recorded in stats as truncation).
+  /// Frontier cap: when the frontier exceeds this, lowest-priority nodes
+  /// are dropped (recorded in stats as truncation).
   std::size_t max_nodes = 1u << 16;
-  /// Byte budget for the enumerator's internal KV trie. Pinned frontier
-  /// snapshots can transiently exceed it; the frontier sheds its worst
-  /// nodes until the trie fits again.
+  /// Byte budget for the distinct KV snapshots the frontier holds (each
+  /// counted once). An expansion whose snapshot would exceed it keeps
+  /// none, and its children re-prime their prefix when expanded: the
+  /// budget trades compute for memory and never changes output.
   std::size_t cache_bytes = 64ull << 20;
   /// Stop after this many emitted guesses (0 = unlimited).
   std::size_t max_guesses = 0;
@@ -76,8 +81,8 @@ struct OrderedStats {
   std::size_t nodes_expanded = 0;  ///< forward steps (one per expansion)
   std::size_t emitted = 0;         ///< complete guesses yielded
   std::size_t invalid = 0;         ///< <EOS> sequences that failed decode
-  std::size_t heap_peak = 0;       ///< largest frontier seen
-  std::size_t truncated = 0;       ///< frontier nodes dropped by budgets
+  std::size_t heap_peak = 0;       ///< largest frontier seen (nodes)
+  std::size_t truncated = 0;       ///< frontier nodes dropped by max_nodes
   /// Admissible bound: the best log-prob ever dropped. Guesses scoring
   /// <= this may be missing from the output; above it the ranking is
   /// complete. -inf when no truncation happened.
@@ -85,9 +90,10 @@ struct OrderedStats {
   bool exhausted = false;     ///< frontier emptied (nothing above min_log_prob)
   bool deadline_hit = false;  ///< stopped by deadline_ms
   bool expansion_capped = false;  ///< stopped by max_expansions
-  /// Prefix positions recomputed through step(): root priming plus
-  /// re-priming after budget evictions. Excludes each expansion's single
-  /// scoring step, which is paid regardless of caching.
+  /// Prefix positions recomputed through step(): the root's (those the
+  /// caller's resume state did not cover) plus the whole parent of every
+  /// node the byte budget left without a snapshot. Excludes each
+  /// expansion's single scoring step.
   std::size_t prefill_tokens = 0;
   /// Prefix positions restored from KV snapshots instead of recomputed.
   std::size_t prefill_saved = 0;
@@ -127,6 +133,9 @@ class OrderedEnumerator {
   OrderedEnumerator(const gpt::GptModel& model, std::vector<int> prefix,
                     OrderedOptions opts = {}, gpt::LogitMask mask = nullptr,
                     const gpt::KvState* resume = nullptr);
+  // Held snapshots book their bytes back into this enumerator when freed.
+  OrderedEnumerator(const OrderedEnumerator&) = delete;
+  OrderedEnumerator& operator=(const OrderedEnumerator&) = delete;
 
   /// The next-best complete guess, or std::nullopt when enumeration is
   /// over (budget stop, deadline, or frontier exhausted — see stats()).
@@ -135,43 +144,47 @@ class OrderedEnumerator {
 
   const OrderedStats& stats() const noexcept { return stats_; }
 
-  /// The internal KV trie (pin/byte accounting for tests).
-  const gpt::KvTrieCache& cache() const noexcept { return cache_; }
+  /// Bytes of the distinct KV snapshots the frontier holds (the
+  /// cache_bytes budget's unit).
+  std::size_t held_bytes() const noexcept { return held_bytes_; }
 
  private:
   /// A frontier entry: full token sequence (request prefix included),
-  /// cumulative log-prob of the tokens after the prefix, and a pin on the
-  /// cached snapshot covering seq minus its last token (empty when that
-  /// snapshot was evicted before we could pin it — expansion then falls
-  /// back to find_longest + re-prime, bitwise identical by the kv_cache
-  /// determinism contract).
+  /// cumulative log-prob of the tokens after the prefix, and the snapshot
+  /// covering seq minus its last token, shared with its siblings (null
+  /// when the byte budget kept none). Terminal (<EOS>) nodes are never
+  /// expanded and hold none.
   struct Node {
     double logp = 0.0;
     std::vector<int> seq;
-    gpt::KvTrieCache::Handle parent;
+    std::shared_ptr<const gpt::KvState> parent;
   };
 
-  /// Strict-weak "worse-than" order for the max-heap: lower logp is worse;
-  /// equal logp breaks toward the lexicographically smaller sequence. No
-  /// two frontier nodes share a sequence, so this is a total order and the
-  /// pop order is deterministic.
-  static bool worse(const Node& a, const Node& b) noexcept {
-    if (a.logp != b.logp) return a.logp < b.logp;
-    return b.seq < a.seq;
-  }
+  /// Strict-weak "worse-than" order: lower logp is worse; equal logp
+  /// breaks toward the lexicographically smaller sequence. No two frontier
+  /// nodes share a sequence, so this is a total order and the pop order is
+  /// deterministic.
+  struct Worse {
+    bool operator()(const Node& a, const Node& b) const noexcept {
+      if (a.logp != b.logp) return a.logp < b.logp;
+      return b.seq < a.seq;
+    }
+  };
 
   /// Seats the session's single row at the end of `prefix`, resuming from
   /// `state` (may be null), and books the prefill into stats_.
   void seat(std::span<const int> prefix, const gpt::KvState* state);
   void expand_root();
   void expand(Node node);
-  /// Scores `logits` after `seq` (masked + renormalized), pushes every
-  /// surviving child, then enforces the heap/byte budgets.
-  void push_children(const std::vector<int>& seq, double logp,
-                     std::span<const float> logits);
+  /// Scores the session row's logits after `seq` (masked + renormalized),
+  /// pushes every surviving child, then enforces the node budget.
+  void push_children(const std::vector<int>& seq, double logp);
+  /// `state` as a shared snapshot whose bytes count in held_bytes_ until
+  /// its last holder frees it; null when it would exceed cache_bytes.
+  std::shared_ptr<const gpt::KvState> hold(gpt::KvState state);
+  /// Records the frontier's peak, then drops its worst nodes while it is
+  /// over max_nodes.
   void enforce_budgets();
-  void push_node(Node n);
-  Node pop_node();
 
   const gpt::GptModel* model_;
   std::vector<int> prefix_;
@@ -179,11 +192,11 @@ class OrderedEnumerator {
   gpt::LogitMask mask_;
   const gpt::KvState* resume_;  ///< cleared after the root expansion
 
-  // Declared before frontier_ so outstanding pins release first: the trie
-  // asserts no live handles at destruction.
-  gpt::KvTrieCache cache_;
   gpt::InferenceSession session_;
-  std::vector<Node> frontier_;  ///< heap ordered by worse()
+  // Declared before frontier_: freeing a snapshot subtracts its bytes here,
+  // so it must outlive the frontier's nodes.
+  std::size_t held_bytes_ = 0;
+  std::set<Node, Worse> frontier_;  ///< worst first, best last
   std::vector<float> scratch_;  ///< masked logit row
   OrderedStats stats_;
   bool primed_ = false;

@@ -435,7 +435,7 @@ void GuessService::execute_ordered(Pending& p) {
   sopts.deadline_ms = p.search_deadline_ms;
   // The shared prefix cache seeds the enumeration root (its pin outlives
   // the first next(), which is all the resume contract asks); expansion
-  // states live in the enumerator's own trie. When the service samples in
+  // snapshots stay inside the enumerator. When the service samples in
   // int8 the cached states were produced by quantized forwards, which the
   // enumerator's fp32 exactness guarantee cannot resume from — the
   // enumeration then primes from scratch instead.

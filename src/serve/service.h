@@ -145,7 +145,7 @@ struct ServiceConfig {
   /// at submit with a reason (ordered search holds a worker for the whole
   /// enumeration, so the cap is the operator's cost-control knob).
   std::size_t max_ordered_top_k = 512;
-  /// Frontier / KV-trie / expansion budgets for each ordered enumeration
+  /// Frontier / KV-snapshot / expansion budgets for each ordered enumeration
   /// (see search::OrderedOptions). The expansion cap keeps one ordered
   /// request from monopolising a worker when the model is near-uniform
   /// over a large pattern space; capped requests complete kOk with the

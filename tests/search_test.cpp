@@ -6,7 +6,7 @@
 // passwords, same order, bitwise-identical log-probs — and must reproduce
 // itself run over run. The rest locks down the anytime stop conditions,
 // budget truncation (emissions stay an order-preserving subset with an
-// honest admissible bound), and KV-pin hygiene under heap eviction
+// honest admissible bound), and KV-snapshot hygiene under tight budgets
 // (labelled `sanitize` so the TSan/ASan jobs run it).
 #include "search/ordered.h"
 
@@ -200,8 +200,9 @@ TEST_F(SearchTest, ResumeSnapshotDoesNotChangeOutput) {
 
 // The process-wide prefill ledger (kv_cache.prefill_tokens/_saved, which
 // the benchmark's gpt.prefill_frac and gpt.kv_prefill_saved_frac read)
-// must book exactly what stats() reports — cold, and under a budget that
-// evicts on every insert and so forces the re-derive path.
+// must book exactly what stats() reports — cold, where only the root
+// primes, and under a byte budget below one snapshot, which keeps none and
+// so forces every expansion to re-derive its parent.
 TEST_F(SearchTest, GlobalPrefillLedgerMatchesStats) {
   const std::vector<int> prefix =
       Tokenizer::encode_generation_prefix(*pcfg::parse_pattern("L3N1"));
@@ -214,7 +215,11 @@ TEST_F(SearchTest, GlobalPrefillLedgerMatchesStats) {
     const auto saved_before = ledger.prefill_saved.value();
     OrderedEnumerator e(*model_, prefix, opts, ab_mask(kMaxLen));
     drain(e);
-    EXPECT_GT(e.stats().prefill_tokens, 0u);
+    if (opts.cache_bytes == tiny.cache_bytes) {
+      EXPECT_GT(e.stats().prefill_tokens, prefix.size());
+    } else {
+      EXPECT_EQ(e.stats().prefill_tokens, prefix.size());
+    }
     EXPECT_EQ(ledger.prefill_tokens.value() - tokens_before,
               e.stats().prefill_tokens)
         << "cache_bytes " << opts.cache_bytes;
@@ -326,45 +331,80 @@ TEST_F(SearchTest, DeadlineStopsAnytime) {
 
 // Budget truncation: emissions must stay an order-preserving subset of the
 // untruncated ranking, every miss must score at or below the reported
-// admissible bound, and no KV pin may leak — the trie destructor aborts on
-// a live pin, so clean teardown after heavy heap eviction IS the leak
-// check (run under ASan/TSan via the sanitize label).
+// admissible bound, and the held snapshot bytes stay within budget. Run
+// once with a node cap and once with only a byte budget, which must cap
+// memory without changing output. Draining frees every snapshot, and
+// deleting the enumerator mid-flight frees the rest (the leak check under
+// ASan via the sanitize label).
 TEST_F(SearchTest, BudgetTruncationIsHonestAndLeaksNoPins) {
   const std::vector<int> prefix = {Tokenizer::kBos};
   OrderedEnumerator full(*model_, prefix, {}, ab_mask(kMaxLen));
   const auto all = drain(full);
+  EXPECT_TRUE(full.stats().exhausted);
+  EXPECT_EQ(full.held_bytes(), 0u);
 
-  OrderedOptions opts;
-  opts.max_nodes = 2;   // constant frontier eviction
-  opts.cache_bytes = 1; // every insert immediately over budget
-  auto* e = new OrderedEnumerator(*model_, prefix, opts, ab_mask(kMaxLen));
-  const auto got = drain(*e);
-  EXPECT_GT(e->stats().truncated, 0u);
-  EXPECT_GT(e->stats().truncated_log_prob,
-            -std::numeric_limits<double>::infinity());
-  // Order-preserving subset of the full ranking.
-  std::size_t j = 0;
-  for (const auto& g : got) {
-    while (j < all.size() &&
-           (all[j].password != g.password || all[j].log_prob != g.log_prob))
-      ++j;
-    ASSERT_LT(j, all.size()) << "emitted guess not in full ranking: "
-                             << g.password;
-    ++j;
-  }
-  // Honest bound: everything the budget run missed scores at or below it
-  // (the bound is the best log-prob ever dropped from the frontier).
-  std::set<std::string> emitted;
-  for (const auto& g : got) emitted.insert(g.password);
-  for (const auto& r : all)
-    if (!emitted.count(r.password)) {
-      EXPECT_LE(r.log_prob, e->stats().truncated_log_prob) << r.password;
+  // A held snapshot covers at most the prefix plus kMaxLen - 1 characters
+  // (a node's parent); one covering all kMaxLen characters bounds it.
+  gpt::InferenceSession session(*model_);
+  session.reset(1);
+  const int a = Tokenizer::char_token('a');
+  for (int t : {Tokenizer::kBos, a, a, a})
+    session.step(std::span<const int>(&t, 1));
+  const std::size_t snapshot_bytes = session.snapshot(0).bytes();
+
+  OrderedOptions node_capped;
+  node_capped.max_nodes = 2;    // constant frontier eviction
+  node_capped.cache_bytes = 1;  // every snapshot over budget: none held
+  OrderedOptions byte_capped;   // default max_nodes: only the bytes bind
+  byte_capped.cache_bytes = snapshot_bytes;
+  for (const OrderedOptions& opts : {node_capped, byte_capped}) {
+    SCOPED_TRACE("max_nodes " + std::to_string(opts.max_nodes));
+    OrderedEnumerator e(*model_, prefix, opts, ab_mask(kMaxLen));
+    std::vector<ScoredGuess> got;
+    while (auto g = e.next()) {
+      got.push_back(std::move(*g));
+      EXPECT_LE(e.held_bytes(), opts.cache_bytes);
     }
-  // Pins never exceed resident nodes while live...
-  EXPECT_LE(e->cache().pinned_nodes(), e->cache().nodes());
-  // ...and the trie's destructor PPG_CHECKs pinned_ == 0: deleting the
-  // enumerator (frontier pins released first) must not abort.
-  delete e;
+    EXPECT_TRUE(e.stats().exhausted);
+    EXPECT_EQ(e.held_bytes(), 0u);
+    // Some expansion found no snapshot and re-primed its parent.
+    EXPECT_GT(e.stats().prefill_tokens, prefix.size());
+    if (opts.max_nodes == node_capped.max_nodes) {
+      EXPECT_GT(e.stats().truncated, 0u);
+      EXPECT_GT(e.stats().truncated_log_prob,
+                -std::numeric_limits<double>::infinity());
+    } else {
+      // The byte budget alone drops nothing: the exact full ranking.
+      EXPECT_EQ(e.stats().truncated, 0u);
+      ASSERT_EQ(got.size(), all.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].password, all[i].password);
+        EXPECT_EQ(got[i].log_prob, all[i].log_prob);
+      }
+    }
+    // Order-preserving subset of the full ranking.
+    std::size_t j = 0;
+    for (const auto& g : got) {
+      while (j < all.size() &&
+             (all[j].password != g.password || all[j].log_prob != g.log_prob))
+        ++j;
+      ASSERT_LT(j, all.size()) << "emitted guess not in full ranking: "
+                               << g.password;
+      ++j;
+    }
+    // Honest bound: everything the budget run missed scores at or below it
+    // (the bound is the best log-prob ever dropped from the frontier).
+    std::set<std::string> emitted;
+    for (const auto& g : got) emitted.insert(g.password);
+    for (const auto& r : all)
+      if (!emitted.count(r.password)) {
+        EXPECT_LE(r.log_prob, e.stats().truncated_log_prob) << r.password;
+      }
+  }
+  // Mid-flight teardown: the frontier still holds snapshots here.
+  OrderedEnumerator partial(*model_, prefix, {}, ab_mask(kMaxLen));
+  ASSERT_TRUE(partial.next().has_value());
+  EXPECT_GT(partial.held_bytes(), 0u);
 }
 
 TEST_F(SearchTest, MaskedLogProbsNormalizes) {

@@ -41,11 +41,13 @@
 //                       that bypasses it produces numbers the CI perf gate
 //                       never sees, so its wins can silently rot.
 //   unbounded-frontier-push
-//                       in src/search, every heap push must sit within two
-//                       lines of a budget check (max_nodes / cache_bytes /
-//                       enforce_budgets) — best-first frontiers grow
-//                       geometrically, and a push site without an adjacent
-//                       bound turns the search into an OOM.
+//                       in src/search, every frontier push (a heap push or
+//                       any container insert( / emplace() must sit
+//                       within two lines of a budget check (max_nodes /
+//                       cache_bytes / enforce_budgets) — best-first
+//                       frontiers grow geometrically, and a push site
+//                       without an adjacent bound turns the search into an
+//                       OOM.
 //   raw-intrinsics      raw SIMD intrinsics (_mm*/__m*/immintrin.h) appear
 //                       only in the src/nn/kernels_* backend files; all
 //                       other code reaches vector units through the
@@ -207,10 +209,10 @@ const std::vector<Rule> kRules = {
      {"parse_env", "make_bench_record", "append_trajectory"},
      {}},
     {"unbounded-frontier-push",
-     {"std::priority_queue", "push_heap"},
+     {"std::priority_queue", "push_heap", "insert(", "emplace("},
      "frontier pushes in src/search must sit within two lines of a budget "
      "check (max_nodes / cache_bytes / enforce_budgets) — an unguarded "
-     "best-first heap grows geometrically into an OOM",
+     "best-first frontier grows geometrically into an OOM",
      {"src/search/"},
      {},
      {},
