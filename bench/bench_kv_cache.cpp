@@ -1,15 +1,15 @@
-// Prefix-trie KV cache effectiveness (DESIGN.md §10).
+// KV-snapshot reuse effectiveness (DESIGN.md §10).
 //
-// Runs the same D&C-GEN job twice — cache disabled, cache enabled — with
-// identical config and seed, verifies the guess lists are byte-identical
-// (the determinism contract of kv_cache.h), and reports the prefill
-// ledger: token positions fed through the model while priming division
-// batches and leaf generations, versus positions restored from cached
-// states. The savings are structural — they depend on the division tree,
-// not on the weights — so the bench uses a randomly initialised model of
-// the requested size and a pattern distribution fitted to the synthetic
-// rockyou-like corpus; no training step keeps even the paper config
-// runnable in minutes.
+// Runs the same D&C-GEN job twice — no snapshots held (kv_cache_bytes 0),
+// then the default budget — with identical config and seed, verifies the
+// guess lists are byte-identical (the determinism contract of
+// kv_cache.h), and reports the prefill ledger: token positions fed
+// through the model while priming division batches and leaf generations,
+// versus positions restored from parent snapshots. The savings are
+// structural — they depend on the division tree, not on the weights — so
+// the bench uses a randomly initialised model of the requested size and a
+// pattern distribution fitted to the synthetic rockyou-like corpus; no
+// training step keeps even the paper config runnable in minutes.
 //
 // Flags beyond the standard bench set (common.h):
 //   --model=tiny|small|bench|paper  transformer size (default small)
@@ -90,8 +90,9 @@ int main(int argc, char** argv) {
   cfg.threads = threads;
   cfg.sample.batch_size = 128;
 
+  const std::size_t budget = cfg.kv_cache_bytes;
   const auto run = [&](bool cached, core::DcGenStats& stats, double& secs) {
-    cfg.kv_cache = cached;
+    cfg.kv_cache_bytes = cached ? budget : 0;
     obs::StageTimer stage(cached ? "dcgen/cached" : "dcgen/uncached");
     const auto start = std::chrono::steady_clock::now();
     auto out = core::dc_generate(model, pcfg_model.patterns(), cfg,

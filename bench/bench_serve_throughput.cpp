@@ -7,8 +7,8 @@
 // segment count, so every request shares a prefix length and the dynamic
 // batcher can coalesce up to max_batch of them into one model call.
 //
-// Reports guesses/sec, p50/p99 request latency, scheduler occupancy
-// (mean rows per model call), and the batched/unbatched throughput ratio
+// Reports guesses/sec, p50/p99 request latency, step occupancy (mean
+// rows per model step), and the batched/unbatched throughput ratio
 // per client count. The serving design targets >= 2x at 16 concurrent
 // clients with the paper-size model — the regime where the weight matrices
 // (~38 MB) exceed cache, so one weight pass feeding N rows beats N passes
@@ -81,8 +81,8 @@ struct Cell {
   double guesses_per_sec = 0.0;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
-  std::uint64_t batches = 0;   ///< model calls this cell issued
-  double mean_batch_rows = 0;  ///< scheduler occupancy (rows per call)
+  std::uint64_t batches = 0;   ///< admission rounds this cell ran
+  double step_occupancy = 0;   ///< rows per model step (infer.tokens/steps)
   std::uint64_t invalid = 0;   ///< undecodable rows (each forces a retry)
 };
 
@@ -107,13 +107,15 @@ Cell run_cell(const gpt::GptModel& model,
 
   std::vector<std::vector<double>> lat(static_cast<std::size_t>(clients));
   std::vector<std::size_t> got(static_cast<std::size_t>(clients), 0);
-  // The serve counters are cumulative across cells; difference them to get
-  // this cell's scheduler occupancy.
+  // The counters are cumulative across cells; difference them to get this
+  // cell's step occupancy. The service is the only inference user here.
   auto& ctr_batches = obs::Registry::global().counter("serve.batches");
-  auto& ctr_rows = obs::Registry::global().counter("serve.rows");
+  auto& ctr_steps = obs::Registry::global().counter("infer.steps");
+  auto& ctr_tokens = obs::Registry::global().counter("infer.tokens");
   auto& ctr_invalid = obs::Registry::global().counter("serve.invalid");
   const std::uint64_t batches0 = ctr_batches.value();
-  const std::uint64_t rows0 = ctr_rows.value();
+  const std::uint64_t steps0 = ctr_steps.value();
+  const std::uint64_t tokens0 = ctr_tokens.value();
   const std::uint64_t invalid0 = ctr_invalid.value();
   const std::int64_t t0 = obs::now_us();
   {
@@ -153,9 +155,9 @@ Cell run_cell(const gpt::GptModel& model,
   cell.p50_ms = percentile(all, 0.50);
   cell.p99_ms = percentile(all, 0.99);
   cell.batches = ctr_batches.value() - batches0;
-  const std::uint64_t rows = ctr_rows.value() - rows0;
-  cell.mean_batch_rows =
-      cell.batches > 0 ? double(rows) / double(cell.batches) : 0.0;
+  const std::uint64_t steps = ctr_steps.value() - steps0;
+  cell.step_occupancy =
+      steps > 0 ? double(ctr_tokens.value() - tokens0) / double(steps) : 0.0;
   cell.invalid = ctr_invalid.value() - invalid0;
   return cell;
 }
@@ -192,7 +194,7 @@ int main(int argc, char** argv) {
                 max_batch, gpt::precision_name(precision),
                 static_cast<unsigned long long>(seed));
     std::printf("%8s  %9s  %10s  %9s  %9s  %9s  %8s\n", "clients", "batching",
-                "guess/sec", "p50 ms", "p99 ms", "occupancy", "invalid");
+                "guess/sec", "p50 ms", "p99 ms", "step occ", "invalid");
 
     // Repeats are the OUTER loop so the unbatched/batched cells of one
     // client count interleave in time: machine-noise epochs (this bench
@@ -216,7 +218,7 @@ int main(int argc, char** argv) {
       std::printf("%8d  %9s  %10.1f  %9.3f  %9.3f  %9.2f  %8llu\n",
                   cell.clients, cell.batching ? "on" : "off",
                   cell.guesses_per_sec, cell.p50_ms, cell.p99_ms,
-                  cell.mean_batch_rows,
+                  cell.step_occupancy,
                   static_cast<unsigned long long>(cell.invalid));
 
     std::printf("\nbatched/unbatched throughput:\n");
@@ -252,7 +254,7 @@ int main(int argc, char** argv) {
         w.key("p50_ms").value(c.p50_ms);
         w.key("p99_ms").value(c.p99_ms);
         w.key("batches").value(c.batches);
-        w.key("mean_batch_rows").value(c.mean_batch_rows);
+        w.key("step_occupancy").value(c.step_occupancy);
         w.key("invalid").value(c.invalid);
         w.end_object();
       }
@@ -298,7 +300,7 @@ int main(int argc, char** argv) {
         metrics["serve.batched_guesses_per_sec"] = best->guesses_per_sec;
         metrics["serve.p50_ms"] = best->p50_ms;
         metrics["serve.p99_ms"] = best->p99_ms;
-        metrics["serve.occupancy"] = best->mean_batch_rows;
+        metrics["serve.step_occupancy"] = best->step_occupancy;
         metrics["serve.batching_speedup"] = speedup;
       }
       // serve.request_ms histogram percentiles are deliberately NOT

@@ -66,12 +66,16 @@ struct DcMetrics {
 
 /// One pending unit of work: generate `n` passwords whose rule starts with
 /// `prefix` (token form) under `pattern`, `chars_done` characters of which
-/// are already fixed by the prefix.
+/// are already fixed by the prefix. `parent` is the snapshot of the task
+/// that divided into this one and its siblings (its prefix minus the last
+/// token); null for pattern roots, journaled leaves, and when the
+/// kv_cache_bytes budget held none.
 struct Task {
   std::vector<int> prefix;
   const std::vector<pcfg::Segment>* pattern;
   int chars_done;
   double n;
+  std::shared_ptr<const gpt::KvState> parent;
 };
 
 /// Capacity of the *unfilled* suffix of a pattern (optimisation 2, applied
@@ -117,10 +121,11 @@ std::uint64_t jmix_double(std::uint64_t h, double v) noexcept {
 
 /// Fingerprint of everything that determines the guess stream: the output-
 /// relevant config knobs, the seed, the pattern distribution, and the model
-/// weights. threads / kv_cache / division_batch are deliberately excluded —
-/// they never change the output (dcgen_test asserts this), so a journal may
-/// be resumed with a different parallelism setup. A fingerprint mismatch
-/// means the journal belongs to a different run and must be discarded.
+/// weights. threads / kv_cache_bytes / ordered_cache_bytes / division_batch
+/// are deliberately excluded — they never change the output (dcgen_test
+/// asserts this), so a journal may be resumed with a different parallelism
+/// or memory setup. A fingerprint mismatch means the journal belongs to a
+/// different run and must be discarded.
 std::uint64_t dc_fingerprint(const gpt::GptModel& model,
                              const pcfg::PatternDistribution& patterns,
                              const DcGenConfig& cfg, std::uint64_t seed) {
@@ -132,12 +137,11 @@ std::uint64_t dc_fingerprint(const gpt::GptModel& model,
   h = jmix(h, cfg.max_patterns);
   h = jmix(h, cfg.strict_leaves ? 1 : 0);
   // Ordered-leaf knobs are output-relevant: the mode picks the leaf
-  // algorithm outright, and the search budgets decide what truncation (if
-  // any) drops from each leaf's top-n.
+  // algorithm outright, and the node and expansion budgets decide what
+  // truncation (if any) drops from each leaf's top-n.
   h = jmix(h, cfg.leaf_mode == LeafMode::kOrdered ? 1 : 0);
   if (cfg.leaf_mode == LeafMode::kOrdered) {
     h = jmix(h, cfg.ordered_max_nodes);
-    h = jmix(h, cfg.ordered_cache_bytes);
     h = jmix(h, cfg.ordered_max_expansions);
   }
   h = jmix_double(h, cfg.sample.temperature);
@@ -308,6 +312,9 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
   metrics.runs.inc();
   DcGenStats local;
 
+  // Parent snapshots handed to child tasks. Declared before every Task
+  // container: it must outlive the snapshots they hold.
+  gpt::KvBudget held(cfg.kv_cache_bytes);
   // Parsed pattern storage must be address-stable for Task::pattern.
   std::vector<std::unique_ptr<std::vector<pcfg::Segment>>> parsed_patterns;
   std::vector<Task> leaves;
@@ -441,14 +448,13 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
   }
 
   // Recursive division (Alg. 1 lines 10-22), in batched groups.
-  // With the KV cache on, a divided task's post-prefix state is snapshotted
-  // into a per-run prefix trie; its children (division or leaf) later
-  // resume from it instead of re-priming from <BOS>. Values are bitwise
-  // identical either way (kv_cache.h), so the cache may be toggled, sized,
-  // or evicted freely without changing a single emitted guess.
-  std::unique_ptr<gpt::KvTrieCache> cache;
-  if (cfg.kv_cache)
-    cache = std::make_unique<gpt::KvTrieCache>(cfg.kv_cache_bytes);
+  // A divided task's post-prefix state is snapshotted and shared with its
+  // children (division or leaf), which later resume from it instead of
+  // re-priming from <BOS>. Values are bitwise identical either way
+  // (kv_cache.h), so the kv_cache_bytes cap may hold any subset of them
+  // without changing a single emitted guess. The cap is only checked here,
+  // single-threaded, so which tasks resume (and the prefill accounting)
+  // is the same for any thread count.
   gpt::InferenceSession session(model, cfg.sample.precision);
   const auto& class_sets = ClassTokenSets::instance();
   while (!pending.empty()) {
@@ -463,32 +469,29 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
     if (bucket.empty()) pending.erase(bucket_it);
 
     // Phase 1: one seating call computes every task's last-prefix-token
-    // logits, each row resuming from its task's deepest cached ancestor
-    // (with the cache off, every row steps its whole prefix).
-    std::vector<gpt::KvTrieCache::Handle> handles(cache ? group.size() : 0);
-    std::vector<const gpt::KvState*> states(handles.size());
+    // logits, each row resuming from its task's parent snapshot (a row
+    // without one steps its whole prefix). Divided, a task drops its hold.
+    std::vector<const gpt::KvState*> states;
     std::vector<std::span<const int>> prefixes;
+    states.reserve(group.size());
     prefixes.reserve(group.size());
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      prefixes.emplace_back(group[i].prefix);
-      if (!cache) continue;
-      handles[i] = cache->find_longest(group[i].prefix);
-      states[i] = handles[i].state();
+    for (const Task& t : group) {
+      prefixes.emplace_back(t.prefix);
+      states.push_back(t.parent.get());
     }
     const auto prefill = session.seat(prefixes, states);
     ++local.model_calls;
     local.prefill_tokens += prefill.computed;
     local.prefill_saved += prefill.restored;
-    if (cache)
-      for (std::size_t i = 0; i < group.size(); ++i)
-        cache->insert(group[i].prefix,
-                      session.snapshot(static_cast<gpt::Index>(i)));
+    for (Task& t : group) t.parent.reset();
 
     // Phase 2: route children in the group's original order, so the leaf
-    // list (and thus the output order) never depends on the cache.
+    // list (and thus the output order) never depends on the budget.
     for (std::size_t i = 0; i < group.size(); ++i) {
       Task& t = group[i];
       ++local.divisions;
+      const auto snapshot =
+          held.hold(session.snapshot(static_cast<gpt::Index>(i)));
       const auto cls = pcfg::class_at(*t.pattern, t.chars_done);
       const auto& allowed = class_sets.of(*cls);
       const auto logits = session.logits_row(static_cast<gpt::Index>(i));
@@ -513,6 +516,7 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
         child.prefix.push_back(tok_id);
         child.chars_done = t.chars_done + 1;
         child.n = n_child;
+        child.parent = snapshot;
         route(std::move(child));
       }
     }
@@ -571,6 +575,8 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
                local.resumed_leaves, leaves.size());
   }
   const auto run_leaf = [&](std::size_t leaf_idx) {
+    // The leaf's parent snapshot is released when the leaf finishes.
+    auto parent = std::move(leaves[leaf_idx].parent);
     if (leaf_done[leaf_idx]) return;
     obs::Span leaf_span("dcgen/leaf", "dcgen");
     const Task& t = leaves[leaf_idx];
@@ -580,23 +586,18 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
     const gpt::LogitMask mask =
         cfg.strict_leaves ? make_pattern_mask(*t.pattern, t.chars_done)
                           : gpt::LogitMask{};
-    // A leaf's parent prefix was snapshotted when it was divided, so the
-    // deepest cached ancestor usually covers all but the last token. The
-    // handle pins the state for the duration of the sampling call.
-    gpt::KvTrieCache::Handle hit;
-    if (cache) hit = cache->find_longest(t.prefix);
     if (cfg.leaf_mode == LeafMode::kOrdered) {
       // Best-first leaf: the quota becomes "the leaf's top-`count` most
       // likely passwords". No RNG touches the output, so thread-count
-      // invariance holds trivially; the run-level cache hit only changes
-      // prefill work (bitwise resume contract), never the guesses.
+      // invariance holds trivially; resuming from the parent snapshot only
+      // changes prefill work (bitwise resume contract), never the guesses.
       search::OrderedOptions sopts;
       sopts.max_nodes = cfg.ordered_max_nodes;
       sopts.cache_bytes = cfg.ordered_cache_bytes;
       sopts.max_expansions = cfg.ordered_max_expansions;
       sopts.max_guesses = count;
       search::OrderedEnumerator enumerator(model, t.prefix, sopts, mask,
-                                           hit ? hit.state() : nullptr);
+                                           std::move(parent));
       auto& out = leaf_out[leaf_idx];
       out.reserve(count);
       while (auto g = enumerator.next()) out.push_back(std::move(g->password));
@@ -607,8 +608,7 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
     } else {
       leaf_out[leaf_idx] =
           gpt::sample_passwords(model, t.prefix, count, rng, cfg.sample, mask,
-                                &leaf_stats[leaf_idx],
-                                hit ? hit.state() : nullptr);
+                                &leaf_stats[leaf_idx], parent.get());
     }
     DcMetrics::get().emitted.inc(leaf_out[leaf_idx].size());
     if (ledger) ledger->append(leaf_idx, leaf_out[leaf_idx]);

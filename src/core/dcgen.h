@@ -17,8 +17,8 @@
 //     (52^letters · 10^digits · 32^specials of the unfilled suffix);
 //  3. divisions are batched: each group of up to division_batch pending
 //     tasks is one ragged InferenceSession::seat call, every row resuming
-//     from its own cached ancestor at its own depth, and prefixes stay in
-//     token form end-to-end (no re-encoding).
+//     from its own parent's KV snapshot, and prefixes stay in token form
+//     end-to-end (no re-encoding).
 #pragma once
 
 #include <cstdint>
@@ -58,12 +58,12 @@ struct DcGenConfig {
   /// leaf becomes descending model probability.
   LeafMode leaf_mode = LeafMode::kSampled;
   /// Ordered-leaf frontier cap (see search::OrderedOptions::max_nodes).
-  /// Unlike kv_cache_bytes, the ordered budgets *can* change which guesses
-  /// are emitted (budget truncation), so they are part of the journal
-  /// fingerprint.
+  /// This and ordered_max_expansions *can* change which guesses are
+  /// emitted (budget truncation), so they are part of the journal
+  /// fingerprint; the two byte caps cannot, so they are not.
   std::size_t ordered_max_nodes = std::size_t(1) << 16;
   /// Ordered-leaf KV-snapshot memory cap (OrderedOptions::cache_bytes; per
-  /// leaf, not shared with the run-level cache below); output unchanged.
+  /// leaf, not shared with kv_cache_bytes below); output unchanged.
   std::size_t ordered_cache_bytes = std::size_t(32) << 20;
   /// Per-leaf expansion budget (0 = unlimited). Best-first search under a
   /// near-uniform model can sweep nearly the whole pattern tree before
@@ -87,14 +87,13 @@ struct DcGenConfig {
   /// any thread count: each leaf draws from its own seeded RNG and outputs
   /// are concatenated in task order.
   int threads = 1;
-  /// Prefix-trie KV cache (src/gpt/kv_cache.h): division batches and leaf
-  /// generations resume from the deepest cached ancestor prefix instead of
-  /// re-priming from <BOS>. Guess output is bitwise identical either way,
-  /// for any thread count and any byte budget (tests/kv_cache_test.cpp);
-  /// only the prefill work and the model_calls count change.
-  bool kv_cache = true;
-  /// Byte budget for the per-run cache. LRU eviction of unpinned nodes;
-  /// a tiny budget degrades hit depth, never correctness.
+  /// Byte cap on the KV snapshots (src/gpt/kv_cache.h) a divided task
+  /// hands its children: division batches and leaf generations resume
+  /// from their parent's snapshot instead of re-priming from <BOS>. A
+  /// snapshot that would pass the cap is not kept, and those children
+  /// re-prime; 0 keeps none. Guess output is bitwise identical for any
+  /// cap and thread count (tests/kv_cache_test.cpp); only the prefill
+  /// work changes.
   std::size_t kv_cache_bytes = std::size_t(256) << 20;
   /// Directory for the resumable job journal (empty = off). With a journal,
   /// the run saves its division plan once (the division phase is

@@ -1,6 +1,6 @@
 #include "gpt/kv_cache.h"
 
-#include <algorithm>
+#include <map>
 #include <utility>
 
 #include "common/check.h"
@@ -28,73 +28,27 @@ std::size_t KvState::bytes() const noexcept {
 }
 
 /// One trie node: an edge token from its parent, children by token id, and
-/// (for inserted prefixes) the owned KvState. Interior nodes created only
-/// as path scaffolding carry no state and are pruned when their subtree
-/// empties.
+/// (for inserted prefixes) the trie's reference to a KvState plus its place
+/// in the LRU. Interior nodes created only as path scaffolding carry no
+/// state and are pruned when their subtree empties.
 struct KvTrieCache::Node {
   Node* parent = nullptr;
   int token = -1;
   std::map<int, std::unique_ptr<Node>> children;
-  std::unique_ptr<KvState> state;
-  int pins = 0;  ///< live Handles; > 0 exempts the node from eviction
+  std::shared_ptr<const KvState> state;
+  std::list<Node*>::iterator lru_pos;  ///< valid while state is set
 };
 
 KvTrieCache::KvTrieCache(std::size_t budget)
     : max_bytes(budget), root_(std::make_unique<Node>()) {}
 
 KvTrieCache::~KvTrieCache() {
-  // A Handle outliving its cache would unpin into freed memory; make that
-  // programming error loud at the source. Taken under the lock: destruction
-  // racing a live Handle is already UB, but the lock keeps the check itself
-  // well-defined (and visible to the thread-safety analysis) when the last
-  // release() is still in flight on another thread.
   MutexLock lock(mu_);
-  PPG_CHECK(pinned_ == 0, "KvTrieCache destroyed with %zu pinned nodes",
-            pinned_);
+  kv_cache_metrics().bytes.add(-static_cast<double>(bytes_));
 }
 
-KvTrieCache::Node* KvTrieCache::walk_locked(std::span<const int> prefix,
-                                            bool create) {
-  Node* n = root_.get();
-  for (const int tok : prefix) {
-    auto it = n->children.find(tok);
-    if (it == n->children.end()) {
-      if (!create) return nullptr;
-      auto child = std::make_unique<Node>();
-      child->parent = n;
-      child->token = tok;
-      it = n->children.emplace(tok, std::move(child)).first;
-    }
-    n = it->second.get();
-  }
-  return n;
-}
-
-KvTrieCache::Handle KvTrieCache::pin_locked(Node* n) {
-  if (n->pins++ == 0) {
-    ++pinned_;
-    lru_detach_locked(n);
-  }
-  return Handle(this, n);
-}
-
-void KvTrieCache::lru_detach_locked(Node* n) {
-  const auto it = std::find(lru_.begin(), lru_.end(), n);
-  if (it != lru_.end()) lru_.erase(it);
-}
-
-KvTrieCache::Handle KvTrieCache::find(std::span<const int> prefix) {
-  MutexLock lock(mu_);
-  Node* n = walk_locked(prefix, /*create=*/false);
-  if (n == nullptr || !n->state) {
-    kv_cache_metrics().misses.inc();
-    return {};
-  }
-  kv_cache_metrics().hits.inc();
-  return pin_locked(n);
-}
-
-KvTrieCache::Handle KvTrieCache::find_longest(std::span<const int> prefix) {
+std::shared_ptr<const KvState> KvTrieCache::find_longest(
+    std::span<const int> prefix) {
   MutexLock lock(mu_);
   Node* n = root_.get();
   Node* deepest = nullptr;
@@ -106,51 +60,53 @@ KvTrieCache::Handle KvTrieCache::find_longest(std::span<const int> prefix) {
   }
   if (deepest == nullptr) {
     kv_cache_metrics().misses.inc();
-    return {};
+    return nullptr;
   }
   kv_cache_metrics().hits.inc();
-  return pin_locked(deepest);
+  lru_.splice(lru_.end(), lru_, deepest->lru_pos);
+  return deepest->state;
 }
 
 void KvTrieCache::insert(std::span<const int> prefix, KvState state) {
   MutexLock lock(mu_);
-  Node* n = walk_locked(prefix, /*create=*/true);
+  Node* n = root_.get();
+  for (const int tok : prefix) {
+    auto& child = n->children[tok];
+    if (!child) {
+      child = std::make_unique<Node>();
+      child->parent = n;
+      child->token = tok;
+    }
+    n = child.get();
+  }
   if (n->state) return;  // first insert wins; the copies are bitwise equal
-  n->state = std::make_unique<KvState>(std::move(state));
-  bytes_ += n->state->bytes();
-  ++nodes_;
+  n->state = std::make_shared<const KvState>(std::move(state));
+  n->lru_pos = lru_.insert(lru_.end(), n);
+  const std::size_t added = n->state->bytes();
+  bytes_ += added;
   KvCacheMetrics& m = kv_cache_metrics();
   m.inserts.inc();
-  lru_.push_back(n);  // unpinned at birth, most recently used
+  m.bytes.add(static_cast<double>(added));
   evict_over_budget_locked();
-  m.bytes.set(static_cast<double>(bytes_));
 }
 
 void KvTrieCache::evict_over_budget_locked() {
-  while (bytes_ > max_bytes && !lru_.empty()) {
-    Node* victim = lru_.front();
-    lru_.erase(lru_.begin());
-    evict_node_locked(victim);
-  }
-  kv_cache_metrics().bytes.set(static_cast<double>(bytes_));
-}
-
-void KvTrieCache::evict_node_locked(Node* n) {
-  PPG_CHECK(n->pins == 0, "kv cache: evicting a pinned node");
-  PPG_CHECK(n->state != nullptr, "kv cache: evicting a stateless node");
-  const std::size_t freed = n->state->bytes();
-  bytes_ -= freed;
-  --nodes_;
   KvCacheMetrics& m = kv_cache_metrics();
-  m.evictions.inc();
-  m.evicted_bytes.inc(freed);
-  n->state.reset();
-  // Prune now-dead scaffolding so the trie does not accrete token paths.
-  while (n != root_.get() && !n->state && n->children.empty() &&
-         n->pins == 0) {
-    Node* parent = n->parent;
-    parent->children.erase(n->token);  // destroys n
-    n = parent;
+  while (bytes_ > max_bytes) {
+    Node* n = lru_.front();
+    lru_.pop_front();
+    const std::size_t freed = n->state->bytes();
+    bytes_ -= freed;
+    m.evictions.inc();
+    m.evicted_bytes.inc(freed);
+    m.bytes.add(-static_cast<double>(freed));
+    n->state.reset();  // a reader still holding the state keeps it alive
+    // Prune now-dead scaffolding so the trie does not accrete token paths.
+    while (n != root_.get() && !n->state && n->children.empty()) {
+      Node* parent = n->parent;
+      parent->children.erase(n->token);  // destroys n
+      n = parent;
+    }
   }
 }
 
@@ -161,36 +117,45 @@ std::size_t KvTrieCache::bytes() const {
 
 std::size_t KvTrieCache::nodes() const {
   MutexLock lock(mu_);
-  return nodes_;
+  return lru_.size();
 }
 
-std::size_t KvTrieCache::pinned_nodes() const {
-  MutexLock lock(mu_);
-  return pinned_;
-}
+namespace {
 
-void KvTrieCache::Handle::release() {
-  if (node_ == nullptr) return;
-  KvTrieCache* cache = cache_;
-  Node* n = static_cast<Node*>(node_);
-  cache_ = nullptr;
-  node_ = nullptr;
-  MutexLock lock(cache->mu_);
-  PPG_CHECK(n->pins > 0, "kv cache: pin refcount underflow");
-  if (--n->pins == 0) {
-    --cache->pinned_;
-    cache->lru_.push_back(n);  // a released node re-enters LRU as MRU
-    cache->evict_over_budget_locked();
+/// One snapshot handed out by a KvBudget, counted in its held bytes until
+/// the last holder drops it.
+struct HeldState {
+  HeldState(KvState s, std::atomic<std::size_t>& held, std::size_t bytes)
+      : state(std::move(s)), held(held), bytes(bytes) {}
+  HeldState(const HeldState&) = delete;
+  HeldState& operator=(const HeldState&) = delete;
+  ~HeldState() {
+    held.fetch_sub(bytes, std::memory_order_relaxed);
+    kv_cache_metrics().bytes.add(-static_cast<double>(bytes));
   }
+
+  const KvState state;
+  std::atomic<std::size_t>& held;
+  const std::size_t bytes;
+};
+
+}  // namespace
+
+KvBudget::~KvBudget() {
+  PPG_CHECK(held() == 0, "KvBudget destroyed with %zu bytes still held",
+            held());
 }
 
-const KvState* KvTrieCache::Handle::state() const noexcept {
-  return node_ == nullptr ? nullptr : static_cast<Node*>(node_)->state.get();
-}
-
-Index KvTrieCache::Handle::len() const noexcept {
-  const KvState* s = state();
-  return s == nullptr ? 0 : s->len;
+std::shared_ptr<const KvState> KvBudget::hold(KvState state) {
+  const std::size_t bytes = state.bytes();
+  std::size_t held = held_.load(std::memory_order_relaxed);
+  do {
+    if (bytes > max_bytes - held) return nullptr;
+  } while (!held_.compare_exchange_weak(held, held + bytes,
+                                        std::memory_order_relaxed));
+  kv_cache_metrics().bytes.add(static_cast<double>(bytes));
+  auto owner = std::make_shared<HeldState>(std::move(state), held_, bytes);
+  return {owner, &owner->state};
 }
 
 }  // namespace ppg::gpt

@@ -1,16 +1,13 @@
-// Prefix-trie KV cache: reuse attention states across prefix-related
-// forward passes.
+// KV snapshots and the two ways they are kept: a prefix trie and a byte
+// budget.
 //
-// The consumers of InferenceSession that share this store — D&C-GEN's
-// divider, its leaf generations, and the serve layer's request batches —
-// seat sessions at token prefixes that are *extensions of prefixes
-// already computed*:
-// a division task's prefix is its parent's plus one token, a leaf's prefix
-// is its parent division's plus one token, and repeated serve requests
-// share their whole `<BOS> pattern <SEP>` prefix (ordered search only
-// seeds its root here; see search/ordered.h). Stepping the full prefix
-// again recomputes per-layer K/V blocks an ancestor already produced. This
-// store memoises them:
+// Every consumer of InferenceSession seats sessions at token prefixes
+// that extend prefixes already computed: a D&C-GEN task's prefix is its
+// dividing parent's plus one token, an ordered-search node's is its
+// parent's plus one token, and repeated serve requests share their whole
+// `<BOS> pattern <SEP>` prefix. Stepping the full prefix again recomputes
+// per-layer K/V blocks an earlier forward already produced. This header
+// memoises them:
 //
 //  * KvState is one sequence's immutable per-layer K/V blocks for
 //    positions [0, len) plus the logits after token len-1 — everything a
@@ -18,28 +15,38 @@
 //    itself. InferenceSession::seat restores each row of a batch from its
 //    own state at its own depth (the batch is ragged: rows need not share
 //    a prefix length or a resume depth).
-//  * KvTrieCache is a trie over token ids whose nodes own KvStates,
-//    ref-counted by RAII Handles (a pinned node is never evicted) with
-//    LRU eviction of unpinned nodes under a byte budget.
+//  * A snapshot is owned through std::shared_ptr<const KvState> and
+//    nothing else: whoever holds one keeps the state alive, and it is
+//    freed when the last holder drops it.
+//  * KvTrieCache finds a snapshot by prefix when the consumer does not
+//    know its parent: the serve layer's cross-request cache. It holds one
+//    reference per cached prefix, with LRU eviction under a byte budget;
+//    eviction drops only the trie's reference.
+//  * KvBudget caps the bytes of snapshots handed from parent to child
+//    directly: D&C-GEN's task parents (core/dcgen.cpp) and ordered
+//    search's frontier (search/ordered.h). Over the cap it holds nothing
+//    and the child re-primes its prefix.
 //
-// Determinism contract: resuming from a cached KvState is bitwise
-// identical to re-stepping the same prefix, because per-sequence float op
-// order is invariant to batch geometry (kernels.h gemm_nn accumulates
-// each output element in the same p-order in the 4-row-blocked and
-// remainder paths; layernorm, attention, and GELU are per-row). The same
-// invariance lets a ragged step compact its live rows into any block
-// position. A cache hit therefore changes *where* the floats come from,
-// never their values
-// — the differential suite in tests/kv_cache_test.cpp locks this down
-// across thread counts and eviction-forcing budgets.
+// Determinism contract: resuming from a KvState is bitwise identical to
+// re-stepping the same prefix, because per-sequence float op order is
+// invariant to batch geometry (kernels.h gemm_nn accumulates each output
+// element in the same p-order in the 4-row-blocked and remainder paths;
+// layernorm, attention, and GELU are per-row). The same invariance lets a
+// ragged step compact its live rows into any block position. A snapshot
+// therefore changes *where* the floats come from, never their values — so
+// no cap, eviction or cache miss can change output. The differential suite
+// in tests/kv_cache_test.cpp locks this down across thread counts and
+// budgets.
 //
 // Thread safety: all member functions are safe to call concurrently; the
-// store takes one mutex per operation (trivial next to a model forward).
-// KvStates are immutable after insert, so pinned readers need no lock.
+// trie takes one mutex per operation (trivial next to a model forward) and
+// the budget is one atomic. KvStates are immutable once shared, so their
+// readers need no lock.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <map>
+#include <list>
 #include <memory>
 #include <span>
 #include <vector>
@@ -54,118 +61,94 @@ using nn::Index;
 
 /// One sequence's KV snapshot: per-layer K and V blocks covering positions
 /// [0, len), plus the next-token logits after token len-1. Immutable once
-/// inside the cache.
+/// shared.
 struct KvState {
   Index len = 0;                         ///< positions covered
   std::vector<std::vector<float>> k, v;  ///< per layer, len * d_model
   std::vector<float> logits;             ///< vocab, after token len-1
 
-  /// Payload size (the eviction budget's unit).
+  /// Payload size (the budgets' unit).
   std::size_t bytes() const noexcept;
 };
 
-/// Trie-of-token-ids store of KvStates with pin refcounts and LRU
-/// eviction under a byte budget.
+/// Trie-of-token-ids store of shared KvStates with LRU eviction under a
+/// byte budget.
 class KvTrieCache {
  public:
-  /// `max_bytes` caps the *unpinned* resident payload: pinned nodes are
-  /// never evicted, so the live total can transiently exceed the budget
-  /// while handles are outstanding; it is trimmed back as they release.
+  /// `max_bytes` caps the states the trie references. Eviction drops only
+  /// the trie's reference, so a reader still holding an evicted state
+  /// keeps it alive.
   explicit KvTrieCache(std::size_t max_bytes);
   ~KvTrieCache();
 
   KvTrieCache(const KvTrieCache&) = delete;
   KvTrieCache& operator=(const KvTrieCache&) = delete;
 
-  class Handle;
-
-  /// Exact-prefix lookup. An empty handle on miss.
-  Handle find(std::span<const int> prefix);
-
-  /// Deepest cached ancestor of `prefix` (including `prefix` itself).
-  /// An empty handle when no prefix of it is cached.
-  Handle find_longest(std::span<const int> prefix);
+  /// Deepest cached ancestor of `prefix` (including `prefix` itself),
+  /// which becomes the most recently used; null when no prefix of it is
+  /// cached.
+  std::shared_ptr<const KvState> find_longest(std::span<const int> prefix);
 
   /// Stores `state` under `prefix` (state.len need not equal
-  /// prefix.size(); D&C-GEN and serve always insert state.len ==
-  /// prefix.size()). First insert wins: re-inserting an existing prefix
-  /// keeps the resident state (cached and recomputed states are bitwise
-  /// equal by the determinism contract, so which copy survives is
-  /// unobservable). May trigger eviction of other, unpinned nodes.
+  /// prefix.size(); serve always inserts state.len == prefix.size()).
+  /// First insert wins: re-inserting an existing prefix keeps the resident
+  /// state (cached and recomputed states are bitwise equal by the
+  /// determinism contract, so which copy survives is unobservable). May
+  /// evict the least recently used states, this one included.
   void insert(std::span<const int> prefix, KvState state);
 
-  /// Unpinned + pinned resident payload bytes.
+  /// Bytes of the states the trie references.
   std::size_t bytes() const;
   /// Nodes currently holding a state.
   std::size_t nodes() const;
-  /// Nodes currently pinned by live handles.
-  std::size_t pinned_nodes() const;
 
   const std::size_t max_bytes;
 
-  /// RAII pin on one cached node. While a handle is live its state is
-  /// immutable and cannot be evicted; destruction (or release()) unpins
-  /// and may trigger deferred eviction.
-  class Handle {
-   public:
-    Handle() = default;
-    Handle(Handle&& o) noexcept : cache_(o.cache_), node_(o.node_) {
-      o.cache_ = nullptr;
-      o.node_ = nullptr;
-    }
-    Handle& operator=(Handle&& o) noexcept {
-      if (this != &o) {
-        release();
-        cache_ = o.cache_;
-        node_ = o.node_;
-        o.cache_ = nullptr;
-        o.node_ = nullptr;
-      }
-      return *this;
-    }
-    Handle(const Handle&) = delete;
-    Handle& operator=(const Handle&) = delete;
-    ~Handle() { release(); }
-
-    /// Drops the pin early. Idempotent.
-    void release();
-
-    explicit operator bool() const noexcept { return node_ != nullptr; }
-    /// The pinned state; nullptr for an empty handle.
-    const KvState* state() const noexcept;
-    /// Positions the pinned state covers (0 for an empty handle).
-    Index len() const noexcept;
-
-   private:
-    friend class KvTrieCache;
-    Handle(KvTrieCache* cache, void* node) : cache_(cache), node_(node) {}
-    KvTrieCache* cache_ = nullptr;
-    void* node_ = nullptr;
-  };
-
  private:
   struct Node;
-  Node* walk_locked(std::span<const int> prefix, bool create) PPG_REQUIRES(mu_);
-  Handle pin_locked(Node* n) PPG_REQUIRES(mu_);
-  void lru_detach_locked(Node* n) PPG_REQUIRES(mu_);
   void evict_over_budget_locked() PPG_REQUIRES(mu_);
-  void evict_node_locked(Node* n) PPG_REQUIRES(mu_);
 
   mutable Mutex mu_;
   std::unique_ptr<Node> root_ PPG_GUARDED_BY(mu_);
-  // Intrusive-by-pointer LRU of unpinned state-bearing nodes; front is
-  // the eviction victim, back is most recently used.
-  std::vector<Node*> lru_ PPG_GUARDED_BY(mu_);  ///< small; linear ops fine
+  /// State-bearing nodes; front is the eviction victim, back the most
+  /// recently used.
+  std::list<Node*> lru_ PPG_GUARDED_BY(mu_);
   std::size_t bytes_ PPG_GUARDED_BY(mu_) = 0;
-  std::size_t nodes_ PPG_GUARDED_BY(mu_) = 0;
-  std::size_t pinned_ PPG_GUARDED_BY(mu_) = 0;
+};
+
+/// A byte cap on snapshots handed straight from parent to child. Each
+/// hold() counts its bytes until the last holder frees the snapshot, so
+/// the budget must outlive every snapshot it hands out (checked at
+/// destruction).
+class KvBudget {
+ public:
+  explicit KvBudget(std::size_t max_bytes) : max_bytes(max_bytes) {}
+  ~KvBudget();
+
+  KvBudget(const KvBudget&) = delete;
+  KvBudget& operator=(const KvBudget&) = delete;
+
+  /// `state` as a shared snapshot whose bytes count in held() and in
+  /// kv_cache.bytes while it lives; null when it would pass max_bytes.
+  std::shared_ptr<const KvState> hold(KvState state);
+
+  /// Bytes of the live snapshots this budget handed out.
+  std::size_t held() const noexcept {
+    return held_.load(std::memory_order_relaxed);
+  }
+
+  const std::size_t max_bytes;
+
+ private:
+  std::atomic<std::size_t> held_{0};
 };
 
 /// Process-wide KV-cache metrics ("kv_cache.*" in the global registry):
-/// hit/miss/insert/eviction counters, resident- and evicted-bytes, and the
+/// trie hit/miss/insert/eviction counters, evicted bytes, resident bytes
+/// (every trie's states plus every budget's held snapshots), and the
 /// prefill ledger (token positions computed vs restored by
-/// InferenceSession::seat, its only writer) that bench_kv_cache reports. Registered once; updates are the
-/// registry's lock-free fast path.
+/// InferenceSession::seat, its only writer) that bench_kv_cache reports.
+/// Registered once; updates are the registry's lock-free fast path.
 struct KvCacheMetrics {
   obs::Counter& hits;
   obs::Counter& misses;

@@ -62,8 +62,8 @@ using LogitMask = std::function<void(Index step, std::span<float> logits)>;
 /// When `resume` covers a leading part of `prefix` (resume->len <=
 /// prefix.size()), every batch restores those positions from the snapshot
 /// and steps only the remainder — bitwise identical to stepping the whole
-/// prefix (see kv_cache.h), just cheaper. The snapshot must stay alive
-/// (e.g. a pinned KvTrieCache::Handle) for the duration of the call.
+/// prefix (see kv_cache.h), just cheaper. The caller keeps the snapshot
+/// alive (e.g. holds its shared_ptr) for the duration of the call.
 std::vector<std::string> sample_passwords(const GptModel& model,
                                           std::span<const int> prefix,
                                           std::size_t count, Rng& rng,

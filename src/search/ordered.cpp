@@ -57,13 +57,14 @@ std::vector<double> masked_log_probs(std::span<const float> logits) {
 OrderedEnumerator::OrderedEnumerator(const gpt::GptModel& model,
                                      std::vector<int> prefix,
                                      OrderedOptions opts, gpt::LogitMask mask,
-                                     const gpt::KvState* resume)
+                                     std::shared_ptr<const gpt::KvState> resume)
     : model_(&model),
       prefix_(std::move(prefix)),
       opts_(opts),
       mask_(std::move(mask)),
-      resume_(resume),
-      session_(model) {
+      resume_(std::move(resume)),
+      session_(model),
+      budget_(opts_.cache_bytes) {
   PPG_CHECK(!prefix_.empty(), "ordered enumeration needs a non-empty prefix");
   PPG_CHECK(static_cast<Index>(prefix_.size()) < model.config().context,
             "prefix length %zu leaves no room in context %d", prefix_.size(),
@@ -84,8 +85,8 @@ void OrderedEnumerator::expand_root() {
   PPG_CHECK(!resume_ || resume_->len <= static_cast<Index>(prefix_.size()),
             "resume snapshot (%d) deeper than prefix (%zu)",
             static_cast<int>(resume_->len), prefix_.size());
-  seat(prefix_, resume_);
-  resume_ = nullptr;  // never needed again
+  seat(prefix_, resume_.get());
+  resume_.reset();  // never needed again
   push_children(prefix_, 0.0);
 }
 
@@ -119,7 +120,9 @@ void OrderedEnumerator::push_children(const std::vector<int>& seq,
   const Index context = model_->config().context;
   const Index child_len = static_cast<Index>(seq.size()) + 1;
   // One snapshot per expansion, taken for the first non-terminal child and
-  // shared by all of them (null when it would exceed the byte budget).
+  // shared by all of them. Over the byte budget it is null: the children
+  // hold nothing and expand() re-primes them, so the budget caps memory
+  // and never changes output.
   std::optional<std::shared_ptr<const gpt::KvState>> snapshot;
   for (std::size_t t = 0; t < lps.size(); ++t) {
     if (lps[t] == kNegInf) continue;
@@ -129,26 +132,12 @@ void OrderedEnumerator::push_children(const std::vector<int>& seq,
     // A non-terminal child at the context boundary can never be stepped
     // again nor emit <EOS>; a terminal child needs no further step.
     if (!terminal && child_len >= context) continue;
-    if (!terminal && !snapshot) snapshot = hold(session_.snapshot(0));
+    if (!terminal && !snapshot) snapshot = budget_.hold(session_.snapshot(0));
     Node child{child_logp, seq, terminal ? nullptr : *snapshot};
     child.seq.push_back(static_cast<int>(t));
     frontier_.insert(std::move(child));
   }
   enforce_budgets();
-}
-
-std::shared_ptr<const gpt::KvState> OrderedEnumerator::hold(
-    gpt::KvState state) {
-  // Over the byte budget the children hold nothing and expand() re-primes
-  // them from scratch: the budget caps memory and never changes output.
-  const std::size_t bytes = state.bytes();
-  if (held_bytes_ + bytes > opts_.cache_bytes) return nullptr;
-  held_bytes_ += bytes;
-  return {new gpt::KvState(std::move(state)),
-          [this, bytes](const gpt::KvState* s) {
-            held_bytes_ -= bytes;
-            delete s;
-          }};
 }
 
 void OrderedEnumerator::enforce_budgets() {

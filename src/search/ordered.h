@@ -19,12 +19,12 @@
 // bound may be missing, anything above it is guaranteed complete.
 //
 // KV reuse: each expansion snapshots its session row once and shares that
-// snapshot (std::shared_ptr) with all of its non-terminal children, so a
-// child's expansion costs one resume + one step — no prefix re-prime. A
-// snapshot is freed when its last holder leaves the frontier. The byte
-// budget only caps memory: a snapshot that would exceed it is not kept,
-// and its children re-prime their prefix when expanded. The node budget
-// drops the *lowest-priority* frontier nodes.
+// snapshot (std::shared_ptr, through a gpt::KvBudget) with all of its
+// non-terminal children, so a child's expansion costs one resume + one
+// step — no prefix re-prime. A snapshot is freed when its last holder
+// leaves the frontier. The byte budget only caps memory: a snapshot that
+// would exceed it is not kept, and its children re-prime their prefix when
+// expanded. The node budget drops the *lowest-priority* frontier nodes.
 //
 // Determinism: single-threaded, no RNG. Ties in cumulative log-prob are
 // broken by lexicographically smaller token sequence, making the emission
@@ -123,8 +123,8 @@ std::vector<double> masked_log_probs(std::span<const float> logits);
 /// context. `mask` follows the sampler's LogitMask contract (step counts
 /// tokens generated after the prefix). When `resume` covers a leading part
 /// of the prefix (resume->len <= prefix.size()), the root expansion
-/// restores those positions instead of re-priming them; the snapshot must
-/// stay alive until the first next() call returns.
+/// restores those positions instead of re-priming them; the enumerator
+/// holds the snapshot until then.
 ///
 /// The model must outlive the enumerator. Not thread-safe; use one
 /// enumerator per thread.
@@ -132,8 +132,8 @@ class OrderedEnumerator {
  public:
   OrderedEnumerator(const gpt::GptModel& model, std::vector<int> prefix,
                     OrderedOptions opts = {}, gpt::LogitMask mask = nullptr,
-                    const gpt::KvState* resume = nullptr);
-  // Held snapshots book their bytes back into this enumerator when freed.
+                    std::shared_ptr<const gpt::KvState> resume = nullptr);
+  // Held snapshots book their bytes back into budget_ when freed.
   OrderedEnumerator(const OrderedEnumerator&) = delete;
   OrderedEnumerator& operator=(const OrderedEnumerator&) = delete;
 
@@ -146,7 +146,7 @@ class OrderedEnumerator {
 
   /// Bytes of the distinct KV snapshots the frontier holds (the
   /// cache_bytes budget's unit).
-  std::size_t held_bytes() const noexcept { return held_bytes_; }
+  std::size_t held_bytes() const noexcept { return budget_.held(); }
 
  private:
   /// A frontier entry: full token sequence (request prefix included),
@@ -179,9 +179,6 @@ class OrderedEnumerator {
   /// Scores the session row's logits after `seq` (masked + renormalized),
   /// pushes every surviving child, then enforces the node budget.
   void push_children(const std::vector<int>& seq, double logp);
-  /// `state` as a shared snapshot whose bytes count in held_bytes_ until
-  /// its last holder frees it; null when it would exceed cache_bytes.
-  std::shared_ptr<const gpt::KvState> hold(gpt::KvState state);
   /// Records the frontier's peak, then drops its worst nodes while it is
   /// over max_nodes.
   void enforce_budgets();
@@ -190,12 +187,12 @@ class OrderedEnumerator {
   std::vector<int> prefix_;
   OrderedOptions opts_;
   gpt::LogitMask mask_;
-  const gpt::KvState* resume_;  ///< cleared after the root expansion
+  std::shared_ptr<const gpt::KvState> resume_;  ///< dropped after the root
 
   gpt::InferenceSession session_;
-  // Declared before frontier_: freeing a snapshot subtracts its bytes here,
-  // so it must outlive the frontier's nodes.
-  std::size_t held_bytes_ = 0;
+  // Declared before frontier_: freeing a snapshot gives its bytes back
+  // here, so it must outlive the frontier's nodes.
+  gpt::KvBudget budget_;
   std::set<Node, Worse> frontier_;  ///< worst first, best last
   std::vector<float> scratch_;  ///< masked logit row
   OrderedStats stats_;

@@ -433,17 +433,17 @@ void GuessService::execute_ordered(Pending& p) {
   sopts.max_expansions = cfg_.ordered_max_expansions;
   sopts.max_guesses = p.target;  // top_k
   sopts.deadline_ms = p.search_deadline_ms;
-  // The shared prefix cache seeds the enumeration root (its pin outlives
-  // the first next(), which is all the resume contract asks); expansion
-  // snapshots stay inside the enumerator. When the service samples in
-  // int8 the cached states were produced by quantized forwards, which the
+  // The shared prefix cache seeds the enumeration root (the enumerator
+  // holds the snapshot until its root is seated); expansion snapshots
+  // stay inside the enumerator. When the service samples in int8 the
+  // cached states were produced by quantized forwards, which the
   // enumerator's fp32 exactness guarantee cannot resume from — the
   // enumeration then primes from scratch instead.
-  gpt::KvTrieCache::Handle hit;
+  std::shared_ptr<const gpt::KvState> hit;
   if (prefix_cache_ && cfg_.sample.precision == gpt::Precision::kFp32)
     hit = prefix_cache_->find_longest(p.prefix);
   search::OrderedEnumerator enumerator(model_, p.prefix, sopts, p.mask,
-                                       hit ? hit.state() : nullptr);
+                                       std::move(hit));
   std::vector<std::string> passwords;
   std::vector<double> log_probs;
   passwords.reserve(p.target);
@@ -481,13 +481,13 @@ void GuessService::seat_admitted(Worker& w,
   // Seat every row at the end of its own request's prefix, resuming from
   // the request's deepest cached ancestor: an exact full-prefix hit skips
   // that row's prefill entirely. A request's rows are admitted together,
-  // so one lookup per request covers its whole row run. Handles stay live
-  // past the inserts below so pinned states cannot be evicted mid-use.
+  // so one lookup per request covers its whole row run. `hits` keeps each
+  // state alive past the inserts below, which may evict it from the trie.
   // Slot requests and their prefixes are only written by this worker.
   std::vector<std::span<const int>> prefixes;
   std::vector<gpt::Index> at;
-  std::vector<gpt::KvTrieCache::Handle> handles;  ///< one per distinct request
-  std::vector<const gpt::KvState*> states;        ///< one per row
+  std::vector<std::shared_ptr<const gpt::KvState>> hits;  ///< per request
+  std::vector<const gpt::KvState*> states;                ///< per row
   prefixes.reserve(admitted.size());
   const Pending* prev = nullptr;
   for (const std::size_t i : admitted) {
@@ -502,9 +502,9 @@ void GuessService::seat_admitted(Worker& w,
     if (!prefix_cache_) continue;
     if (&p != prev) {
       prev = &p;
-      handles.push_back(prefix_cache_->find_longest(p.prefix));
+      hits.push_back(prefix_cache_->find_longest(p.prefix));
     }
-    states.push_back(handles.back().state());
+    states.push_back(hits.back().get());
   }
   w.session.seat(prefixes, states, at);
   if (!prefix_cache_) return;

@@ -227,8 +227,8 @@ class GuessService {
   const pcfg::PatternDistribution& patterns_;
   const ServiceConfig cfg_;
   /// Cross-request prefix KV cache shared by all workers (null when
-  /// disabled). Mutex-guarded internally; pinned states are immutable;
-  /// the pointer itself is set once in the constructor.
+  /// disabled). Mutex-guarded internally; the states it hands out are
+  /// immutable; the pointer itself is set once in the constructor.
   std::unique_ptr<gpt::KvTrieCache> prefix_cache_;  // ppg-lint: allow(unannotated-mutex-sibling)
 
   mutable Mutex mu_;

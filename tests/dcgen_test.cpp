@@ -409,5 +409,29 @@ TEST(DcGen, OrderedBudgetsChangeJournalFingerprint) {
   EXPECT_EQ(stats.resumed_leaves, 0u);
 }
 
+TEST(DcGen, MemoryCapsAndThreadsKeepJournalFingerprint) {
+  // The byte caps and the thread count never change output, so a journal
+  // written under one setting resumes its plan under another.
+  const auto& m = shared_model();
+  const auto dist = small_space_patterns();
+  const testing::TempDir dir;
+  DcGenConfig cfg;
+  cfg.total = 120;
+  cfg.threshold = 20;
+  cfg.leaf_mode = LeafMode::kOrdered;
+  cfg.journal_dir = dir.path().string();
+  DcGenStats first;
+  const auto a = dc_generate(m.model(), dist, cfg, 3, &first);
+  DcGenConfig other = cfg;
+  other.ordered_cache_bytes = 1;
+  other.kv_cache_bytes = 0;
+  other.threads = 3;
+  DcGenStats stats;
+  const auto b = dc_generate(m.model(), dist, other, 3, &stats);
+  EXPECT_TRUE(stats.resumed_plan);
+  EXPECT_EQ(stats.resumed_leaves, first.leaves);
+  EXPECT_EQ(b, a);
+}
+
 }  // namespace
 }  // namespace ppg::core

@@ -1,13 +1,16 @@
-// KV-cache test suite (DESIGN.md §10): trie-store properties (refcounts,
-// LRU eviction, byte budget), snapshot/seat bitwise equivalence against
-// prime()/step(), and the differential determinism suite — dc_generate
-// with the cache enabled must be byte-identical to the cache disabled for
-// any seed, thread count, and byte budget (including budgets tiny enough
-// to evict on every insert).
+// KV-cache test suite (DESIGN.md §10): trie-store properties (shared
+// ownership, LRU eviction, byte budget), the KvBudget hold, snapshot/seat
+// bitwise equivalence against prime()/step(), and the differential
+// determinism suite — dc_generate holding parent snapshots must be
+// byte-identical to holding none for any seed, thread count, and byte
+// budget (including budgets too small to hold a single snapshot).
 #include "gpt/kv_cache.h"
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
+#include <map>
+#include <memory>
 #include <span>
 #include <thread>
 #include <vector>
@@ -44,16 +47,15 @@ KvState make_state(Index len, int layers, Index d, Index vocab, float base) {
 TEST(KvTrieCache, InsertFindRoundTrip) {
   KvTrieCache cache(std::size_t(1) << 20);
   const std::vector<int> p = {3, 7, 11};
-  EXPECT_FALSE(cache.find(p));
+  EXPECT_EQ(cache.find_longest(p), nullptr);
   cache.insert(p, make_state(3, 2, 4, 8, 1.f));
-  auto h = cache.find(p);
-  ASSERT_TRUE(h);
-  EXPECT_EQ(h.len(), 3);
-  ASSERT_NE(h.state(), nullptr);
-  EXPECT_EQ(h.state()->k[0][0], 1.f);
-  EXPECT_EQ(h.state()->v[1][0], 0.f);
+  const auto h = cache.find_longest(p);
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->len, 3);
+  EXPECT_EQ(h->k[0][0], 1.f);
+  EXPECT_EQ(h->v[1][0], 0.f);
   EXPECT_EQ(cache.nodes(), 1u);
-  EXPECT_EQ(cache.bytes(), h.state()->bytes());
+  EXPECT_EQ(cache.bytes(), h->bytes());
 }
 
 TEST(KvTrieCache, FindLongestReturnsDeepestAncestor) {
@@ -61,16 +63,16 @@ TEST(KvTrieCache, FindLongestReturnsDeepestAncestor) {
   cache.insert(std::vector<int>{1}, make_state(1, 1, 2, 4, 1.f));
   cache.insert(std::vector<int>{1, 2, 3}, make_state(3, 1, 2, 4, 3.f));
   const std::vector<int> query = {1, 2, 3, 4, 5};
-  auto h = cache.find_longest(query);
-  ASSERT_TRUE(h);
-  EXPECT_EQ(h.len(), 3);
-  EXPECT_EQ(h.state()->k[0][0], 3.f);
+  const auto h = cache.find_longest(query);
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->len, 3);
+  EXPECT_EQ(h->k[0][0], 3.f);
   // A query sharing only the first token resolves to the depth-1 state.
-  auto h1 = cache.find_longest(std::vector<int>{1, 9});
-  ASSERT_TRUE(h1);
-  EXPECT_EQ(h1.len(), 1);
-  // No shared prefix at all: empty handle.
-  EXPECT_FALSE(cache.find_longest(std::vector<int>{2, 3}));
+  const auto h1 = cache.find_longest(std::vector<int>{1, 9});
+  ASSERT_NE(h1, nullptr);
+  EXPECT_EQ(h1->len, 1);
+  // No shared prefix at all: null.
+  EXPECT_EQ(cache.find_longest(std::vector<int>{2, 3}), nullptr);
 }
 
 TEST(KvTrieCache, FirstInsertWins) {
@@ -81,9 +83,9 @@ TEST(KvTrieCache, FirstInsertWins) {
   cache.insert(p, make_state(2, 1, 2, 4, 99.f));
   EXPECT_EQ(cache.nodes(), 1u);
   EXPECT_EQ(cache.bytes(), bytes);
-  auto h = cache.find(p);
-  ASSERT_TRUE(h);
-  EXPECT_EQ(h.state()->k[0][0], 1.f);  // the original survived
+  const auto h = cache.find_longest(p);
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->k[0][0], 1.f);  // the original survived
 }
 
 TEST(KvTrieCache, BudgetRespectedWhenUnpinned) {
@@ -101,32 +103,43 @@ TEST(KvTrieCache, ZeroBudgetDegradesToNoCaching) {
   cache.insert(std::vector<int>{1, 2}, make_state(2, 1, 2, 4, 1.f));
   EXPECT_EQ(cache.nodes(), 0u);
   EXPECT_EQ(cache.bytes(), 0u);
-  EXPECT_FALSE(cache.find(std::vector<int>{1, 2}));
+  EXPECT_EQ(cache.find_longest(std::vector<int>{1, 2}), nullptr);
 }
 
-TEST(KvTrieCache, EvictionNeverFreesPinnedNode) {
+/// Bitwise equality of two states' payloads.
+bool same_bits(const KvState& a, const KvState& b) {
+  const auto eq = [](const std::vector<float>& x,
+                     const std::vector<float>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+  };
+  if (a.len != b.len || a.k.size() != b.k.size() || a.v.size() != b.v.size())
+    return false;
+  for (std::size_t l = 0; l < a.k.size(); ++l)
+    if (!eq(a.k[l], b.k[l]) || !eq(a.v[l], b.v[l])) return false;
+  return eq(a.logits, b.logits);
+}
+
+TEST(KvTrieCache, EvictedStateStaysReadableWhileHeld) {
   const std::size_t unit = make_state(2, 1, 4, 8, 0.f).bytes();
-  KvTrieCache cache(unit);  // room for exactly one unpinned state
-  cache.insert(std::vector<int>{1}, make_state(2, 1, 4, 8, 7.f));
-  auto pin = cache.find(std::vector<int>{1});
-  ASSERT_TRUE(pin);
-  EXPECT_EQ(cache.pinned_nodes(), 1u);
-  // Flood with inserts: each new unpinned state is itself evicted to meet
-  // the budget, but the pinned node must survive untouched.
-  for (int i = 10; i < 20; ++i)
+  KvTrieCache cache(unit);  // room for exactly one state
+  const KvState want = make_state(2, 1, 4, 8, 7.f);
+  cache.insert(std::vector<int>{1}, want);
+  auto held = cache.find_longest(std::vector<int>{1});
+  ASSERT_NE(held, nullptr);
+  // Flood with inserts: the first evicts {1} from the trie (and each later
+  // one its predecessor), so the budget holds while a reader keeps the
+  // evicted state.
+  for (int i = 10; i < 20; ++i) {
     cache.insert(std::vector<int>{i}, make_state(2, 1, 4, 8, float(i)));
-  ASSERT_NE(pin.state(), nullptr);
-  EXPECT_EQ(pin.state()->k[0][0], 7.f);
-  EXPECT_EQ(pin.state()->logits[0], 14.f);
-  auto again = cache.find(std::vector<int>{1});
-  EXPECT_TRUE(again);
-  again.release();
-  // Once released, the node is evictable again: the next insert that
-  // overflows the budget may push it out.
-  pin.release();
-  EXPECT_EQ(cache.pinned_nodes(), 0u);
-  cache.insert(std::vector<int>{99}, make_state(2, 1, 4, 8, 99.f));
-  EXPECT_LE(cache.bytes(), cache.max_bytes);
+    EXPECT_LE(cache.bytes(), cache.max_bytes);
+  }
+  EXPECT_EQ(cache.find_longest(std::vector<int>{1}), nullptr);
+  EXPECT_EQ(cache.nodes(), 1u);
+  // The reader's state is untouched (ASan would flag a freed read).
+  EXPECT_TRUE(same_bits(*held, want));
+  EXPECT_EQ(held.use_count(), 1);  // the trie's reference is gone
+  held.reset();
 }
 
 TEST(KvTrieCache, LruEvictsLeastRecentlyUsed) {
@@ -134,24 +147,11 @@ TEST(KvTrieCache, LruEvictsLeastRecentlyUsed) {
   KvTrieCache cache(2 * unit);
   cache.insert(std::vector<int>{1}, make_state(1, 1, 4, 8, 1.f));
   cache.insert(std::vector<int>{2}, make_state(1, 1, 4, 8, 2.f));
-  cache.find(std::vector<int>{1}).release();  // touch 1 -> MRU
+  cache.find_longest(std::vector<int>{1});  // touch 1 -> MRU
   cache.insert(std::vector<int>{3}, make_state(1, 1, 4, 8, 3.f));
-  EXPECT_TRUE(cache.find(std::vector<int>{1}));
-  EXPECT_FALSE(cache.find(std::vector<int>{2}));  // the LRU victim
-  EXPECT_TRUE(cache.find(std::vector<int>{3}));
-}
-
-TEST(KvTrieCache, ReleaseIsIdempotent) {
-  KvTrieCache cache(std::size_t(1) << 20);
-  cache.insert(std::vector<int>{4}, make_state(1, 1, 2, 4, 4.f));
-  auto h = cache.find(std::vector<int>{4});
-  ASSERT_TRUE(h);
-  EXPECT_EQ(cache.pinned_nodes(), 1u);
-  h.release();
-  EXPECT_EQ(cache.pinned_nodes(), 0u);
-  h.release();  // second release must be a no-op, not an underflow
-  EXPECT_EQ(cache.pinned_nodes(), 0u);
-  EXPECT_FALSE(h);
+  EXPECT_NE(cache.find_longest(std::vector<int>{1}), nullptr);
+  EXPECT_EQ(cache.find_longest(std::vector<int>{2}), nullptr);  // the victim
+  EXPECT_NE(cache.find_longest(std::vector<int>{3}), nullptr);
 }
 
 TEST(KvTrieCache, MetricsTrackHitsMissesEvictions) {
@@ -161,9 +161,9 @@ TEST(KvTrieCache, MetricsTrackHitsMissesEvictions) {
   const auto evicted0 = m.evictions.value();
   const std::size_t unit = make_state(1, 1, 4, 8, 0.f).bytes();
   KvTrieCache cache(unit);
-  cache.find(std::vector<int>{1}).release();  // miss
+  cache.find_longest(std::vector<int>{1});  // miss
   cache.insert(std::vector<int>{1}, make_state(1, 1, 4, 8, 1.f));
-  cache.find(std::vector<int>{1}).release();  // hit
+  cache.find_longest(std::vector<int>{1});  // hit
   cache.insert(std::vector<int>{2}, make_state(1, 1, 4, 8, 2.f));  // evicts
   EXPECT_GE(m.hits.value(), hits0 + 1);
   EXPECT_GE(m.misses.value(), misses0 + 1);
@@ -171,8 +171,8 @@ TEST(KvTrieCache, MetricsTrackHitsMissesEvictions) {
 }
 
 // Concurrency smoke for the TSan job (`sanitize` label): threads hammer a
-// budget-constrained cache with overlapping prefixes, reading pinned state
-// contents while other threads force eviction around them.
+// budget-constrained cache with overlapping prefixes, reading the states
+// they hold while other threads force eviction around them.
 TEST(KvTrieCache, ConcurrentInsertFindEvictStress) {
   const std::size_t unit = make_state(2, 2, 8, 16, 0.f).bytes();
   KvTrieCache cache(6 * unit);
@@ -184,20 +184,47 @@ TEST(KvTrieCache, ConcurrentInsertFindEvictStress) {
         if (i % 3 == 0) {
           cache.insert(prefix, make_state(2, 2, 8, 16, float(i % 7)));
         } else {
-          auto h = cache.find_longest(prefix);
+          const auto h = cache.find_longest(prefix);
           if (h) {
-            // Read through the pin; eviction must never free this.
-            volatile float sink = h.state()->k[0][0];
+            // Read through the reference; eviction must never free this.
+            volatile float sink = h->k[0][0];
             (void)sink;
-            EXPECT_LE(h.len(), 2);
+            EXPECT_LE(h->len, 2);
           }
         }
       }
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_EQ(cache.pinned_nodes(), 0u);
   EXPECT_LE(cache.bytes(), cache.max_bytes);
+}
+
+TEST(KvBudget, HoldsUpToCapAndGivesBytesBack) {
+  auto& resident = kv_cache_metrics().bytes;
+  const double resident0 = resident.value();
+  const std::size_t unit = make_state(2, 1, 4, 8, 0.f).bytes();
+  KvBudget budget(2 * unit + unit / 2);
+  auto a = budget.hold(make_state(2, 1, 4, 8, 1.f));
+  auto b = budget.hold(make_state(2, 1, 4, 8, 2.f));
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(budget.held(), 2 * unit);
+  EXPECT_EQ(resident.value(), resident0 + double(2 * unit));
+  // A third would pass the cap: refused, nothing counted.
+  EXPECT_EQ(budget.hold(make_state(2, 1, 4, 8, 3.f)), nullptr);
+  EXPECT_EQ(budget.held(), 2 * unit);
+  // Bytes come back only when the last holder lets go.
+  auto a2 = a;
+  a.reset();
+  EXPECT_EQ(budget.held(), 2 * unit);
+  a2.reset();
+  EXPECT_EQ(budget.held(), unit);
+  EXPECT_NE(budget.hold(make_state(2, 1, 4, 8, 4.f)), nullptr);  // freed
+  b.reset();
+  EXPECT_EQ(budget.held(), 0u);
+  EXPECT_EQ(resident.value(), resident0);
+  KvBudget none(0);
+  EXPECT_EQ(none.hold(make_state(1, 1, 2, 4, 1.f)), nullptr);
 }
 
 /// Shared random-init tiny model (weights don't matter for bitwise
@@ -422,16 +449,18 @@ core::DcGenConfig diff_config() {
   return cfg;
 }
 
-// The tentpole differential: for every seed × thread count × budget, the
-// cached run must be byte-identical (same strings, same order) to the
-// uncached single-threaded baseline. Budgets cover the unbounded case, a
-// tiny budget that forces eviction mid-run, and zero (evict-on-insert).
+// The differential: for every seed × thread count × budget, the run
+// holding parent snapshots must be byte-identical (same strings, same
+// order) to the single-threaded baseline holding none. Budgets cover the
+// unbounded case, one too small to hold a snapshot, and zero. The budget
+// is checked only in the single-threaded division phase, so the prefill
+// accounting is the same at any thread count too.
 TEST(DcGenKvCacheDifferential, CachedMatchesUncachedBitwise) {
   const auto& model = test_model();
   const auto& patterns = test_patterns();
   for (const std::uint64_t seed : {1ull, 2ull}) {
     core::DcGenConfig base = diff_config();
-    base.kv_cache = false;
+    base.kv_cache_bytes = 0;
     base.threads = 1;
     core::DcGenStats base_stats;
     const auto want =
@@ -439,11 +468,11 @@ TEST(DcGenKvCacheDifferential, CachedMatchesUncachedBitwise) {
     ASSERT_GT(want.size(), 400u) << "fixture generates too little";
     EXPECT_EQ(base_stats.prefill_saved, 0u);
 
+    std::map<std::size_t, std::size_t> saved_at_one_thread;
     for (const int threads : {1, 4}) {
       for (const std::size_t budget :
            {std::size_t(1) << 30, std::size_t(4096), std::size_t(0)}) {
         core::DcGenConfig cfg = diff_config();
-        cfg.kv_cache = true;
         cfg.kv_cache_bytes = budget;
         cfg.threads = threads;
         core::DcGenStats stats;
@@ -451,6 +480,11 @@ TEST(DcGenKvCacheDifferential, CachedMatchesUncachedBitwise) {
         EXPECT_EQ(got, want)
             << "seed=" << seed << " threads=" << threads
             << " budget=" << budget;
+        if (threads == 1)
+          saved_at_one_thread[budget] = stats.prefill_saved;
+        else
+          EXPECT_EQ(stats.prefill_saved, saved_at_one_thread[budget])
+              << "seed=" << seed << " budget=" << budget;
       }
     }
   }
@@ -460,10 +494,10 @@ TEST(DcGenKvCacheDifferential, CacheSavesPrefillWork) {
   const auto& model = test_model();
   const auto& patterns = test_patterns();
   core::DcGenConfig cfg = diff_config();
-  cfg.kv_cache = false;
+  cfg.kv_cache_bytes = 0;
   core::DcGenStats off;
   core::dc_generate(model, patterns, cfg, 7, &off);
-  cfg.kv_cache = true;
+  cfg.kv_cache_bytes = diff_config().kv_cache_bytes;
   core::DcGenStats on;
   core::dc_generate(model, patterns, cfg, 7, &on);
   EXPECT_EQ(off.prefill_saved, 0u);
@@ -472,6 +506,28 @@ TEST(DcGenKvCacheDifferential, CacheSavesPrefillWork) {
   // The unbounded-cache run must skip a meaningful share of prefill.
   EXPECT_GE(double(on.prefill_saved),
             0.2 * double(off.prefill_tokens));
+}
+
+// Every snapshot a run holds is given back by the time dc_generate
+// returns (KvBudget's destructor checks its own count), so the resident
+// bytes gauge is back where it started, for sampled and ordered leaves at
+// any thread count.
+TEST(DcGenKvCacheDifferential, HeldBytesReturnAfterRun) {
+  const auto& model = test_model();
+  const auto& patterns = test_patterns();
+  auto& resident = kv_cache_metrics().bytes;
+  for (const auto mode : {core::LeafMode::kSampled, core::LeafMode::kOrdered})
+    for (const int threads : {1, 4}) {
+      core::DcGenConfig cfg = diff_config();
+      cfg.leaf_mode = mode;
+      cfg.ordered_max_expansions = 64;
+      cfg.threads = threads;
+      const double before = resident.value();
+      core::DcGenStats stats;
+      core::dc_generate(model, patterns, cfg, 3, &stats);
+      EXPECT_GT(stats.prefill_saved, 0u);  // snapshots were held
+      EXPECT_EQ(resident.value(), before) << "threads=" << threads;
+    }
 }
 
 }  // namespace

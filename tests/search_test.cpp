@@ -15,6 +15,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <set>
 #include <span>
 #include <string>
@@ -180,12 +181,18 @@ TEST_F(SearchTest, ResumeSnapshotDoesNotChangeOutput) {
   session.reset(1);
   int bos = Tokenizer::kBos;
   session.step(std::span<const int>(&bos, 1));
-  const gpt::KvState snap = session.snapshot(0);
+  // The enumerator owns its share of the resume snapshot: the caller may
+  // drop its own, and the root expansion releases the enumerator's.
+  auto snap = std::make_shared<const gpt::KvState>(session.snapshot(0));
+  const std::weak_ptr<const gpt::KvState> watch = snap;
 
   OrderedEnumerator cold(*model_, prefix, {}, ab_mask(kMaxLen));
-  OrderedEnumerator warm(*model_, prefix, {}, ab_mask(kMaxLen), &snap);
+  OrderedEnumerator warm(*model_, prefix, {}, ab_mask(kMaxLen),
+                         std::move(snap));
+  EXPECT_FALSE(watch.expired());
   const auto rc = drain(cold);
   const auto rw = drain(warm);
+  EXPECT_TRUE(watch.expired());
   ASSERT_EQ(rc.size(), rw.size());
   for (std::size_t i = 0; i < rc.size(); ++i) {
     EXPECT_EQ(rc[i].password, rw[i].password);
